@@ -340,8 +340,10 @@ class FlatMap {
       set_bit(idx);
     }
     if (scratch_slots_.capacity() * sizeof(value_type) > kScratchRetainBytes) {
-      scratch_slots_ = {};
-      scratch_states_ = {};
+      // Swap, not `= {}`: assigning an empty braced list clears the vector
+      // but keeps its capacity.
+      std::vector<value_type>().swap(scratch_slots_);
+      std::vector<State>().swap(scratch_states_);
     }
   }
 

@@ -21,4 +21,13 @@ std::uint64_t hash_label(std::string_view label) {
   return splitmix64(s);
 }
 
+namespace detail {
+
+SparseScratch& sparse_scratch() {
+  thread_local SparseScratch scratch;
+  return scratch;
+}
+
+}  // namespace detail
+
 }  // namespace gocast

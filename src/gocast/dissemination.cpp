@@ -32,7 +32,7 @@ DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
       suspicion_ledger_(shared_suspicion != nullptr ? shared_suspicion
                                                     : &own_suspicion_),
       rng_(std::move(rng)),
-      retry_rng_(rng_.fork("pull-retry")),
+      retry_rng_(rng_.fork_sparse("pull-retry")),
       gossip_timer_(rt_, params.gossip_period, [this] { on_gossip_timer(); }),
       gc_timer_(rt_, params.gc_sweep_period, [this] { gc_sweep(); }) {
   GOCAST_ASSERT(params_.gossip_period > 0.0);
@@ -1026,7 +1026,8 @@ std::size_t DisseminationT<RT>::memory_bytes() const {
                            : 0) +
                       audit_countdown_.memory_bytes() +
                       audit_pending_.memory_bytes() +
-                      clique_pending_.memory_bytes();
+                      clique_pending_.memory_bytes() +
+                      retry_rng_.memory_bytes();
   for (const auto& [peer, ids] : pending_) {
     bytes += ids.capacity() * sizeof(MsgId);
   }

@@ -278,8 +278,8 @@ class DisseminationT final : public overlay::OverlayListener {
   bool active_ = true;
   Rng rng_;
   /// Separate stream for retry jitter so the backoff draws never perturb
-  /// the piggyback-sampling stream.
-  Rng retry_rng_;
+  /// the piggyback-sampling stream. Sparse: most nodes never retry a pull.
+  SparseRng retry_rng_;
 
   common::FlatMap<MsgId, Stored> store_;
   common::FlatMap<NodeId, std::vector<MsgId>> pending_;

@@ -30,7 +30,8 @@ std::shared_ptr<const GoCastConfig> normalize_shared(
 }  // namespace
 
 template <runtime::Context RT>
-GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt, GoCastConfig config, Rng rng)
+GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt, GoCastConfig config,
+                             SparseRng rng)
     : GoCastNodeT(id, rt,
                   std::make_shared<const GoCastConfig>(
                       normalize(std::move(config))),
@@ -39,20 +40,20 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt, GoCastConfig config, Rng rng)
 template <runtime::Context RT>
 GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
                              std::shared_ptr<const GoCastConfig> config,
-                             Rng rng)
+                             SparseRng rng)
     : id_(id),
       rt_(rt),
       config_(normalize_shared(std::move(config))),
       view_(id, config_->view_capacity, rng.fork("view"),
             config_->landmark_store),
-      overlay_(id, rt_, view_, config_->overlay, rng.fork("overlay")),
+      overlay_(id, rt_, view_, config_->overlay, rng.fork_sparse("overlay")),
       tree_(id, rt_, overlay_, config_->tree),
       dissemination_(id, rt_, view_, overlay_,
                      config_->tree.enabled ? &tree_ : nullptr,
                      config_->dissemination, config_->defense,
                      rng.fork("dissemination"), kDefaultGroup, &suspicion_),
       own_landmarks_(membership::empty_landmarks()),
-      group_rng_(rng.fork("multigroup")) {
+      group_rng_(rng.fork_sparse("multigroup")) {
   if (config_->defense.corroborate_candidates) view_.enable_corroboration();
   overlay_.add_listener(&tree_);
   overlay_.add_listener(&dissemination_);

@@ -34,14 +34,15 @@ template <runtime::Context RT>
 class GoCastNodeT final : public net::Endpoint {
  public:
   /// Registers itself as `id`'s endpoint on the runtime.
-  GoCastNodeT(NodeId id, RT rt, GoCastConfig config, Rng rng);
+  GoCastNodeT(NodeId id, RT rt, GoCastConfig config, SparseRng rng);
 
   /// Shared-config variant: nodes of one deployment reference a single
   /// immutable GoCastConfig instead of each holding a ~400-byte copy (the
   /// config is normalized on the way in; an already-consistent one is
-  /// shared as-is).
+  /// shared as-is). `rng` is only forked from, never drawn, so it is sparse:
+  /// no generator is seeded for it.
   GoCastNodeT(NodeId id, RT rt, std::shared_ptr<const GoCastConfig> config,
-              Rng rng);
+              SparseRng rng);
 
   GoCastNodeT(const GoCastNodeT&) = delete;
   GoCastNodeT& operator=(const GoCastNodeT&) = delete;
@@ -244,7 +245,8 @@ class GoCastNodeT final : public net::Endpoint {
   /// Sorted group ids mirroring extra_groups_ keys (cheap iteration and the
   /// extra_group_ids() accessor).
   std::vector<GroupId> extra_ids_;
-  Rng group_rng_;
+  /// Only forked from (one child per joined group), so sparse.
+  SparseRng group_rng_;
   DeliveryHook delivery_hook_;
   std::unique_ptr<runtime::PeriodicTimer<RT>> mux_timer_;
   std::unique_ptr<runtime::PeriodicTimer<RT>> keeper_timer_;

@@ -170,7 +170,7 @@ System::System(SystemConfig config)
     // Network& conversion keeps the unsharded path byte-identical.
     nodes_.push_back(std::make_unique<GoCastNode>(
         id, runtime::SimRuntime(*network_, id), std::move(this_config),
-        rng_.fork(static_cast<std::uint64_t>(id))));
+        rng_.fork_sparse(static_cast<std::uint64_t>(id))));
   }
 }
 

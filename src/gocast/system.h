@@ -194,8 +194,8 @@ class System {
 
   /// Per-subsystem byte breakdown across the whole deployment (--mem-report).
   /// Approximate: container capacities, not allocator-level truth. Node
-  /// objects count the GoCastNode footprint itself (dominated by the four
-  /// deterministic mt19937_64 streams each node owns).
+  /// objects count the GoCastNode footprint itself (dominated by the two
+  /// eager mt19937_64 streams each node owns; DESIGN.md §6.5).
   struct MemoryReport {
     std::size_t engine_bytes = 0;          ///< event heap + slot chunks
     std::size_t network_bytes = 0;         ///< node records + message pool

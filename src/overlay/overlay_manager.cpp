@@ -13,7 +13,7 @@ namespace gocast::overlay {
 template <runtime::Context RT>
 OverlayManagerT<RT>::OverlayManagerT(NodeId self, RT rt,
                                      membership::PartialView& view,
-                                     OverlayParams params, Rng rng)
+                                     OverlayParams params, SparseRng rng)
     : self_(self),
       rt_(rt),
       view_(view),
@@ -307,7 +307,7 @@ NodeId OverlayManagerT<RT>::next_nearby_candidate() {
     if (eligible_candidate(id) && view_.contains(id)) return id;
   }
   if (!measure_queue_.empty()) {
-    measure_queue_ = {};
+    std::vector<NodeId>().swap(measure_queue_);  // `= {}` keeps the capacity
     measure_head_ = 0;
   }
 
@@ -606,9 +606,10 @@ std::size_t OverlayManagerT<RT>::memory_bytes() const {
   return table_.raw().memory_bytes() + pending_adds_.memory_bytes() +
          pending_pings_.capacity() * sizeof(PendingPing) +
          blacklist_.memory_bytes() +
-         measure_queue_.capacity() * sizeof(NodeId) +
+         measure_queue_bytes() +
          listeners_.capacity() * sizeof(OverlayListener*) +
-         link_change_times_.capacity() * sizeof(SimTime);
+         link_change_times_.capacity() * sizeof(SimTime) +
+         rng_.memory_bytes();
 }
 
 template class OverlayManagerT<runtime::SimRuntime>;

@@ -97,7 +97,7 @@ template <runtime::Context RT>
 class OverlayManagerT {
  public:
   OverlayManagerT(NodeId self, RT rt, membership::PartialView& view,
-                  OverlayParams params, Rng rng);
+                  OverlayParams params, SparseRng rng);
 
   OverlayManagerT(const OverlayManagerT&) = delete;
   OverlayManagerT& operator=(const OverlayManagerT&) = delete;
@@ -168,9 +168,17 @@ class OverlayManagerT {
   }
 
   /// Approximate heap bytes owned by the overlay layer (neighbor table,
-  /// pending handshakes/pings, blacklist, probe queue, change log).
+  /// pending handshakes/pings, blacklist, probe queue, change log, promoted
+  /// RNG stream).
   [[nodiscard]] std::size_t memory_bytes() const;
+  /// Heap bytes of the initial probe queue: 0 before it is built and again
+  /// once it has drained.
+  [[nodiscard]] std::size_t measure_queue_bytes() const {
+    return measure_queue_.capacity() * sizeof(NodeId);
+  }
   [[nodiscard]] std::uint64_t pings_sent() const { return pings_sent_; }
+  /// The overlay's random stream (tests drive it past promotion).
+  [[nodiscard]] SparseRng& rng() { return rng_; }
 
  private:
   struct PendingAdd {
@@ -222,7 +230,8 @@ class OverlayManagerT {
   RT rt_;
   membership::PartialView& view_;
   OverlayParams params_;
-  Rng rng_;
+  /// Sparse: a node draws from it a few dozen times per run (DESIGN.md §6.5).
+  SparseRng rng_;
 
   NeighborTable table_;
   common::FlatMap<NodeId, PendingAdd> pending_adds_;

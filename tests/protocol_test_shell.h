@@ -22,7 +22,7 @@ class ShellNode : public net::Endpoint {
       : id_(id),
         network_(network),
         view_(id, 256, Rng(900 + id)),
-        overlay_(id, network, view_, params, Rng(1000 + id)) {
+        overlay_(id, network, view_, params, SparseRng(1000 + id)) {
     if (with_tree) {
       tree_ = std::make_unique<tree::TreeManager>(id, network, overlay_,
                                                   tree_params);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -115,6 +116,20 @@ TEST(FlatMap, TombstoneChurnKeepsCapacityBounded) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_TRUE(map.contains(200 * 100 + i));
   }
+}
+
+// Growth past the scratch-retention cap must free the outgrown slot array:
+// the accounted bytes are exactly the live table's.
+TEST(FlatMap, GrowthReleasesOutgrownSlotArray) {
+  using Map = FlatMap<std::uint64_t, std::array<std::uint64_t, 3>>;
+  Map map;
+  for (std::uint64_t i = 0; i < 1500; ++i) map[i] = {i, i, i};
+  ASSERT_EQ(map.capacity(), 2048u);
+  const std::size_t live =
+      map.capacity() * (sizeof(Map::value_type) + sizeof(std::uint8_t)) +
+      (map.capacity() / 64) * sizeof(std::uint64_t);
+  EXPECT_EQ(live, 67840u);
+  EXPECT_EQ(map.memory_bytes(), live);
 }
 
 TEST(FlatMap, EraseWhileIterating) {

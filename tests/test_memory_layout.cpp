@@ -2,12 +2,14 @@
 // interning (value aliasing, refcount lifetime, slot recycling), the
 // PartialView position-table index under insert/remove churn, the pinned
 // 512-node determinism goldens that the layout changes must not move by a
-// byte, and a 32k-node construction smoke proving the startup path stays
+// byte, the node-object bound and promoted-stream accounting of sparse RNG
+// streams, and a 32k-node construction smoke proving the startup path stays
 // free of O(n^2) work at real scale.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -214,6 +216,32 @@ TEST(MemoryLayoutGoldens, Scale512ScenarioIsByteIdentical) {
   EXPECT_EQ(r.report.delivered_fraction, 1.0);
   EXPECT_EQ(r.report.max_delay, 0.46201276779174805);
   EXPECT_EQ(r.report.delay.mean(), 0.205988102073071);
+}
+
+TEST(MemoryLayout, NodeObjectFitsWithSparseStreams) {
+  // Only the view and dissemination streams keep an inline mt19937_64
+  // (2.5 KB each); another inline generator would break this bound.
+  EXPECT_LE(sizeof(core::GoCastNode), 9300u);
+}
+
+TEST(MemoryLayout, MemoryReportCountsPromotedSparseStream) {
+  // Drawing past the promotion block gives a node's overlay stream its own
+  // generator; the overlay layer's accounted bytes must grow by exactly it.
+  core::SystemConfig config;
+  config.node_count = 16;
+  config.seed = 3;
+  core::System system(config);
+  const auto before = system.memory_report();
+
+  SparseRng& rng = system.node(5).overlay().rng();
+  EXPECT_EQ(rng.memory_bytes(), 0u);
+  for (int i = 0; i < 100; ++i) (void)rng.next_below(1000);
+  EXPECT_GT(rng.memory_bytes(), 0u);
+
+  const auto after = system.memory_report();
+  const std::size_t promoted = sizeof(std::mt19937_64);
+  EXPECT_EQ(after.overlay_bytes, before.overlay_bytes + promoted);
+  EXPECT_EQ(after.total_bytes(), before.total_bytes() + promoted);
 }
 
 TEST(MemoryLayoutGoldens, Construct32kNodesAndWarmStart) {

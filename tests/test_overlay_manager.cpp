@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "protocol_test_shell.h"
 
 namespace gocast::overlay {
@@ -244,6 +246,21 @@ TEST(OverlayListeners, AddAndRemoveEventsFire) {
   EXPECT_EQ(recorder.events[1], std::make_pair(NodeId{1}, false));
 }
 
+TEST(OverlayMaintenance, DrainedMeasureQueueIsFreed) {
+  ShellCluster cluster(24, default_params());
+  cluster.seed_full_views();
+  cluster.start_all();
+  auto& overlay = cluster.node(0).overlay();
+  std::size_t peak = 0;
+  for (SimTime t = 0.05; t <= 60.0; t += 0.05) {
+    cluster.engine().run_until(t);
+    peak = std::max(peak, overlay.measure_queue_bytes());
+  }
+  EXPECT_GT(peak, 0u) << "the initial probe queue was never built";
+  EXPECT_EQ(overlay.measure_queue_bytes(), 0u)
+      << "the drained probe queue kept its storage";
+}
+
 TEST(OverlayParamsValidation, RejectsBadConfig) {
   sim::Engine engine;
   net::Network network(engine, std::make_shared<net::RingLatencyModel>(4, 0.08),
@@ -254,11 +271,12 @@ TEST(OverlayParamsValidation, RejectsBadConfig) {
   OverlayParams bad;
   bad.target_rand_degree = 0;
   bad.target_near_degree = 0;
-  EXPECT_THROW(OverlayManager(0, network, view, bad, Rng(3)), AssertionError);
+  EXPECT_THROW(OverlayManager(0, network, view, bad, SparseRng(3)),
+               AssertionError);
 
   OverlayParams bad_ratio;
   bad_ratio.replace_ratio = 0.0;
-  EXPECT_THROW(OverlayManager(0, network, view, bad_ratio, Rng(3)),
+  EXPECT_THROW(OverlayManager(0, network, view, bad_ratio, SparseRng(3)),
                AssertionError);
 }
 

@@ -180,7 +180,7 @@ TEST(RealtimeSmoke, EightLiveNodesDeliverOneMulticast) {
   std::vector<std::unique_ptr<LiveNode>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
     nodes.push_back(std::make_unique<LiveNode>(
-        id, rt, config, rng.fork(static_cast<std::uint64_t>(id))));
+        id, rt, config, rng.fork_sparse(static_cast<std::uint64_t>(id))));
   }
 
   std::vector<membership::MemberEntry> all(kNodes);

@@ -235,7 +235,8 @@ TEST(UdpSmoke, EightSocketsDeliverOneMulticast) {
   std::vector<std::unique_ptr<LiveNode>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
     nodes.push_back(std::make_unique<LiveNode>(
-        id, *runtimes[id], config, rng.fork(static_cast<std::uint64_t>(id))));
+        id, *runtimes[id], config,
+        rng.fork_sparse(static_cast<std::uint64_t>(id))));
   }
 
   std::vector<membership::MemberEntry> all(kNodes);

@@ -10,6 +10,7 @@
 #   REPS=3 NODES=1024 SECONDS_ARG=20 tools/bench.sh   # lighter variant
 #   SWEEP_REPS=8 SWEEP_THREADS=4 tools/bench.sh       # sweep knobs
 #   CURVE=0 tools/bench.sh                            # skip the scaling curve
+#                                   (a skipped section keeps its recorded value)
 #   CURVE_POINTS=8192,32768 tools/bench.sh            # custom curve points
 #   PDES=0 tools/bench.sh                             # skip the shard scaling
 #   PDES_SECONDS=10 tools/bench.sh                    # shorter shard points
@@ -129,6 +130,11 @@ with open(curve_path) as f:
     curve = json.load(f)
 with open(pdes_path) as f:
     pdes = json.load(f)
+# Sections skipped this run (CURVE=0, PDES=0) keep what OUT already records.
+previous = {}
+if os.path.isfile(out_path):
+    with open(out_path) as f:
+        previous = json.load(f)
 
 # Sharded runs must reproduce the serial run byte for byte; a checksum
 # mismatch is an ordering bug in the sharded engine and the numbers must
@@ -159,23 +165,27 @@ for b in micro["benchmarks"]:
     if name not in best or t < best[name]["real_time"]:
         best[name] = {"real_time": t, "time_unit": b["time_unit"]}
 
+curve_section = {
+    # Each point carries its own build_type/nodes/sim_seconds/messages/
+    # seed from the child process — the horizon shrinks as the
+    # deployment grows (see curve_point_for in bench/perf_scaling.cpp),
+    # so events_per_second is comparable across points but wall time is
+    # not. One fresh process per point makes peak_rss_mib per-point
+    # truth rather than a high-water mark across the whole curve.
+    "methodology": ("fresh process per point; sim horizon and message "
+                    "count scale down with node count"),
+    "points": curve,
+}
+if not curve and "perf_scaling_curve" in previous:
+    curve_section = previous["perf_scaling_curve"]
+
 serial_wall = sweep_serial["wall_seconds"]
 parallel_wall = sweep_parallel["wall_seconds"]
 result = {
     "context": micro.get("context", {}),
     "micro_min_of_reps": best,
     "perf_scaling": scaling,
-    "perf_scaling_curve": {
-        # Each point carries its own build_type/nodes/sim_seconds/messages/
-        # seed from the child process — the horizon shrinks as the
-        # deployment grows (see curve_point_for in bench/perf_scaling.cpp),
-        # so events_per_second is comparable across points but wall time is
-        # not. One fresh process per point makes peak_rss_mib per-point
-        # truth rather than a high-water mark across the whole curve.
-        "methodology": ("fresh process per point; sim horizon and message "
-                        "count scale down with node count"),
-        "points": curve,
-    },
+    "perf_scaling_curve": curve_section,
     "sweep_parallel": {
         "serial": sweep_serial,
         "parallel": sweep_parallel,
@@ -207,6 +217,8 @@ if pdes:
             for p in pdes
         ],
     }
+elif "pdes_scaling" in previous:
+    result["pdes_scaling"] = previous["pdes_scaling"]
 with open(out_path, "w") as f:
     json.dump(result, f, indent=2)
     f.write("\n")

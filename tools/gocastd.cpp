@@ -202,9 +202,9 @@ int run_udp_mode(const gocast::harness::Args& args) {
   Rng rng(rt_config.seed);
   // Fork per id exactly as the loopback mode does, so every process draws
   // the same per-node stream regardless of which node it hosts.
-  Rng node_rng(0);
+  SparseRng node_rng(0);
   for (NodeId id : ids) {
-    Rng forked = rng.fork(static_cast<std::uint64_t>(id));
+    SparseRng forked = rng.fork_sparse(static_cast<std::uint64_t>(id));
     if (id == self) node_rng = forked;
   }
   LiveNode node(self, *rt, config, node_rng);
@@ -400,7 +400,7 @@ int run_loopback_mode(const gocast::harness::Args& args) {
   nodes.reserve(n);
   for (NodeId id = 0; id < n; ++id) {
     nodes.push_back(std::make_unique<LiveNode>(
-        id, rt, config, rng.fork(static_cast<std::uint64_t>(id))));
+        id, rt, config, rng.fork_sparse(static_cast<std::uint64_t>(id))));
   }
 
   // Same initialization a deployment's bootstrap service would provide:
