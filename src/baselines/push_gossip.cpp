@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "gocast/system.h"  // default_latency_model
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace gocast::baselines {
@@ -211,7 +210,6 @@ void PushGossipNodeT<RT>::handle_message(NodeId from,
 }
 
 template class PushGossipNodeT<runtime::SimRuntime>;
-template class PushGossipNodeT<runtime::RealtimeContext>;
 template class PushGossipNodeT<runtime::UdpContext>;
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include "common/assert.h"
 #include "common/logging.h"
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace gocast::core {
@@ -1047,7 +1046,6 @@ std::size_t DisseminationT<RT>::memory_bytes() const {
 }
 
 template class DisseminationT<runtime::SimRuntime>;
-template class DisseminationT<runtime::RealtimeContext>;
 template class DisseminationT<runtime::UdpContext>;
 
 }  // namespace gocast::core

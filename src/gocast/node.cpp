@@ -5,7 +5,6 @@
 #include "common/assert.h"
 #include "common/logging.h"
 #include "overlay/messages.h"
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 #include "tree/messages.h"
 
@@ -701,7 +700,6 @@ void GoCastNodeT<RT>::on_join_reply(NodeId from,
 }
 
 template class GoCastNodeT<runtime::SimRuntime>;
-template class GoCastNodeT<runtime::RealtimeContext>;
 template class GoCastNodeT<runtime::UdpContext>;
 
 }  // namespace gocast::core

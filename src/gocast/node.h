@@ -4,9 +4,8 @@
 //
 // Template over a runtime context (see runtime/context.h): the GoCastNode
 // alias binds the simulator; tools/gocastd instantiates
-// GoCastNodeT<runtime::RealtimeContext> to run live nodes over the real-time
-// loopback transport. Bodies live in node.cpp with explicit instantiations
-// for both backends.
+// GoCastNodeT<runtime::UdpContext> to run live nodes over UDP sockets.
+// Bodies live in node.cpp with explicit instantiations for both backends.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,7 @@
 #include "harness/args.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -55,19 +56,34 @@ std::string Args::get(const std::string& name, const std::string& fallback) cons
 double Args::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  GOCAST_ASSERT_MSG(end != it->second.c_str(), "bad number for --" << name);
+  errno = 0;
+  double v = std::strtod(text, &end);
+  GOCAST_ASSERT_MSG(end != text && *end == '\0' && errno != ERANGE,
+                    "bad number for --" << name << ": '" << it->second << "'");
   return v;
 }
 
 long Args::get_int(const std::string& name, long fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
-  GOCAST_ASSERT_MSG(end != it->second.c_str(), "bad integer for --" << name);
+  errno = 0;
+  long v = std::strtol(text, &end, 10);
+  GOCAST_ASSERT_MSG(end != text && *end == '\0' && errno != ERANGE,
+                    "bad integer for --" << name << ": '" << it->second
+                                         << "'");
   return v;
+}
+
+std::size_t Args::get_count(const std::string& name,
+                            std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  long v = get_int(name, 0);
+  GOCAST_ASSERT_MSG(v >= 0, "--" << name << " must not be negative, got " << v);
+  return static_cast<std::size_t>(v);
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {

@@ -1,8 +1,10 @@
 // Tiny command-line flag parser for the tools and examples:
 // --name=value or --name value; unknown flags are fatal (typos should not
-// silently run the wrong experiment).
+// silently run the wrong experiment), and so are numeric values with
+// trailing characters or out of range.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +22,10 @@ class Args {
                                 const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+  /// get_int for sizes and counts: a negative value is an error rather than
+  /// a wrap to a huge unsigned count.
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.

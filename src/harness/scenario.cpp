@@ -346,10 +346,10 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     }
   }
 
-  // Sharded-PDES gating: combinations the window protocol does not support
-  // fall back to the serial engine with a warning rather than changing
-  // semantics (System applies further model-level fallbacks — see
-  // System::init_sharding).
+  // Sharded-PDES gating for what only the harness knows about: churn joins
+  // and invariant probes fall back to the serial engine with a warning.
+  // System::init_sharding applies the model-level fallbacks (multi-group,
+  // site-pair recording, single site, sub-floor lookahead).
   std::size_t shards = config.shards;
   if (shards > 1 && has_churn_joins) {
     // Joins are simulation-global (bootstrap draws, per-join probes), so the
@@ -359,19 +359,9 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
                 "(session/flash joins); falling back to 1 shard");
     shards = 1;
   }
-  if (shards > 1 && topology.group_count > 1) {
-    GOCAST_WARN("sharded run requested with multi-group topology; "
-                "falling back to 1 shard");
-    shards = 1;
-  }
   if (shards > 1 && config.check_invariants) {
     GOCAST_WARN("sharded run requested with invariant checking (global "
                 "engine probes); falling back to 1 shard");
-    shards = 1;
-  }
-  if (shards > 1 && config.record_site_pairs) {
-    GOCAST_WARN("sharded run requested with site-pair recording (shared "
-                "traffic map); falling back to 1 shard");
     shards = 1;
   }
   sys.shard_count = shards;

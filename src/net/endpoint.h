@@ -1,6 +1,6 @@
 // Transport-agnostic delivery interface. Protocol nodes implement Endpoint to
 // receive traffic; every runtime backend (the discrete-event simulator's
-// net::Network, the real-time loopback transport) delivers through it. Lives
+// net::Network, runtime::UdpRuntime) delivers through it. Lives
 // apart from network.h so backends that are not the simulator can depend on
 // the delivery contract without pulling in the simulation engine.
 #pragma once

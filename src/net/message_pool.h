@@ -242,7 +242,7 @@ using PoolVec = std::vector<T, PayloadAllocator<T>>;
 /// one pooled allocation). Message types with an arena-first constructor get
 /// the pool passed through, so their variable-length payloads (PoolVec
 /// members) are pooled too. Shared by every backend that owns a MessageArena
-/// (net::Network, runtime::RealtimeRuntime).
+/// (net::Network, runtime::UdpRuntime).
 template <class M, class... Args>
 [[nodiscard]] std::shared_ptr<const M> make_pooled(
     const std::shared_ptr<MessageArena>& pool, Args&&... args) {

@@ -5,7 +5,6 @@
 #include "common/assert.h"
 #include "common/logging.h"
 #include "coord/triangulation.h"
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace gocast::overlay {
@@ -613,7 +612,6 @@ std::size_t OverlayManagerT<RT>::memory_bytes() const {
 }
 
 template class OverlayManagerT<runtime::SimRuntime>;
-template class OverlayManagerT<runtime::RealtimeContext>;
 template class OverlayManagerT<runtime::UdpContext>;
 
 }  // namespace gocast::overlay

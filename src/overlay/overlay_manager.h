@@ -15,9 +15,9 @@
 //
 // The manager is a template over a runtime context (see runtime/context.h):
 // the same protocol logic runs on the discrete-event simulator
-// (runtime::SimRuntime — the default OverlayManager alias) and on the
-// real-time loopback backend (runtime::RealtimeContext). Method bodies live
-// in overlay_manager.cpp with explicit instantiations for both backends.
+// (runtime::SimRuntime — the default OverlayManager alias) and over UDP
+// sockets (runtime::UdpContext). Method bodies live in overlay_manager.cpp
+// with explicit instantiations for both backends.
 #pragma once
 
 #include <cstdint>

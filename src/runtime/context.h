@@ -10,9 +10,9 @@
 // simulation binding (runtime::SimRuntime) is a final class of two pointers
 // whose methods are inline forwards, so the simulator hot path keeps the
 // exact non-virtual, fully-inlinable call graph it had before the seam
-// existed (see DESIGN.md §7). The real-time loopback binding
-// (runtime::RealtimeContext over runtime::RealtimeRuntime) drives the same
-// protocol code from a std::chrono steady clock.
+// existed (see DESIGN.md §7). The UDP binding (runtime::UdpContext over
+// runtime::UdpRuntime) drives the same protocol code from the wall clock
+// over real sockets.
 //
 // Context contract (checked by the concept below; `make<M>` is a template
 // and therefore listed here instead):
@@ -37,8 +37,8 @@
 //   Rng fork_rng(std::uint64_t salt);    // per-node deterministic streams
 //
 // Timestamps are SimTime seconds in both backends: simulated seconds on the
-// event engine, wall-clock seconds since runtime construction on the
-// real-time backend. Timer callbacks must fit sim::InlineCallback's inline
+// event engine, wall-clock seconds (since construction or a shared epoch)
+// on the UDP backend. Timer callbacks must fit sim::InlineCallback's inline
 // capacity — the seam never heap-allocates for a schedule.
 #pragma once
 

@@ -124,8 +124,8 @@ SimTime UdpRuntime::now() const {
 
 sim::EventId UdpRuntime::schedule_after(SimTime delay, sim::InlineCallback cb) {
   GOCAST_ASSERT_MSG(delay >= 0.0, "negative delay " << delay);
-  // Anchor to the wall clock (see RealtimeRuntime): the queue's own clock
-  // only advances when the reactor fires due work.
+  // Anchor to the wall clock: the queue's own clock only advances when the
+  // reactor fires due work.
   return queue_.schedule_at(now() + delay, std::move(cb));
 }
 
@@ -183,8 +183,8 @@ void UdpRuntime::send(NodeId from, NodeId to, net::MessagePtr msg) {
 }
 
 void UdpRuntime::notify_send_failure(NodeId to, net::MessagePtr msg) {
-  // Mirror the in-process backends: the notification arrives a beat after
-  // the send, never reentrantly from inside it.
+  // Mirror the simulator: the notification arrives a beat after the send,
+  // never reentrantly from inside it.
   queue_.schedule_at(now() + config_.failure_notify_delay,
                      [this, to, m = std::move(msg)] {
                        if (alive_ && endpoint_ != nullptr) {
@@ -337,6 +337,27 @@ std::size_t UdpRuntime::poll() {
   drain_socket();
   drain_error_queue();
   return queue_.run_until(now());
+}
+
+bool pump(const std::vector<UdpRuntime*>& runtimes, SimTime wall_seconds,
+          const std::function<bool()>& done) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(wall_seconds));
+  for (;;) {
+    for (UdpRuntime* rt : runtimes) rt->poll();
+    if (done()) return true;
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) return false;
+    if (runtimes.size() == 1) {
+      // Short slices keep `done` responsive without busy-polling.
+      runtimes.front()->run_for(std::min(
+          0.01, std::chrono::duration<double>(deadline - now).count()));
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  }
 }
 
 }  // namespace gocast::runtime

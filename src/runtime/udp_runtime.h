@@ -1,5 +1,5 @@
-// UDP binding of the runtime seam (see runtime/context.h): the third
-// Context backend, and the first that crosses process (and host)
+// UDP binding of the runtime seam (see runtime/context.h): the live
+// Context backend next to the simulator's, crossing process (and host)
 // boundaries.
 //
 // One UdpRuntime hosts ONE protocol node (config.self) behind one
@@ -7,14 +7,15 @@
 // by the wire codec (src/wire/codec.h) — encode straight into a reusable
 // arena-backed frame buffer, sendto(), and on the far side decode straight
 // into pooled messages. The timer wheel is a sim::Engine reused as a
-// deadline heap exactly as RealtimeRuntime does; the reactor loop sleeps
-// in epoll_wait until the earlier of "next timer deadline" and "datagram
+// deadline heap anchored to the wall clock; the reactor loop sleeps in
+// epoll_wait until the earlier of "next timer deadline" and "datagram
 // arrived", so timers and I/O interleave on one thread and protocol code
-// needs no locking.
+// needs no locking. Several runtimes can share one thread through pump()
+// (gocastd's single-process mode, the in-process tests).
 //
 // The endpoint table maps NodeIds to sockaddrs (--peers in gocastd).
 // Send failures surface through net::Endpoint::handle_send_failure the
-// same way the in-process backends deliver them, from two sources:
+// same way the simulator delivers them, from two sources:
 //   - ICMP unreachable (a crashed peer's kernel refuses the port):
 //     harvested from the socket error queue (IP_RECVERR / MSG_ERRQUEUE)
 //     and correlated to the most recent message sent to that peer;
@@ -37,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <csignal>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -84,7 +86,7 @@ struct UdpConfig {
   int send_retry_limit = 8;
 
   /// Delay before a send failure is reported back to the endpoint,
-  /// mirroring the in-process backends' one-RTT reset latency.
+  /// mirroring the simulator's one-RTT reset latency.
   SimTime failure_notify_delay = 0.001;
 
   /// Seed for fork_rng() per-subsystem streams.
@@ -172,7 +174,7 @@ class UdpRuntime {
 
   /// Non-blocking slice: drain the socket and error queue, fire due
   /// timers, return. Lets several runtimes interleave on one thread
-  /// (in-process integration tests).
+  /// (see pump()).
   std::size_t poll();
 
   /// Points the reactor at an async-signal-safe stop flag (owned by the
@@ -225,8 +227,17 @@ class UdpRuntime {
   std::uint64_t aborted_transfer_bytes_ = 0;
 };
 
+/// Interleaves `runtimes` on the calling thread for up to `wall_seconds`
+/// of wall time, or until `done` returns true (checked after every round);
+/// returns done()'s final value. Several runtimes are polled round-robin
+/// with a 0.5 ms sleep between rounds; a lone runtime sleeps in its own
+/// reactor (run_for) instead, so a one-node process idles in epoll_wait.
+bool pump(const std::vector<UdpRuntime*>& runtimes, SimTime wall_seconds,
+          const std::function<bool()>& done);
+
 /// Copyable handle over a UdpRuntime — the Context type the protocol
-/// templates are instantiated with (same shape as RealtimeContext).
+/// templates are instantiated with (mirrors SimRuntime's pointer shape;
+/// protocol members store contexts by value).
 class UdpContext final {
  public:
   using TimerId = sim::EventId;

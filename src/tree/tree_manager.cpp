@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "common/logging.h"
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace gocast::tree {
@@ -266,7 +265,6 @@ bool TreeManagerT<RT>::is_tree_neighbor(NodeId peer) const {
 }
 
 template class TreeManagerT<runtime::SimRuntime>;
-template class TreeManagerT<runtime::RealtimeContext>;
 template class TreeManagerT<runtime::UdpContext>;
 
 }  // namespace gocast::tree

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/assert.h"
 #include "harness/args.h"
 #include "harness/csv.h"
 
@@ -50,6 +51,28 @@ TEST(Args, BoolRecognizesTrueForms) {
   EXPECT_TRUE(args.get_bool("b", false));
   EXPECT_TRUE(args.get_bool("c", false));
   EXPECT_FALSE(args.get_bool("d", true));
+}
+
+TEST(Args, RejectsTrailingCharactersAndOverflow) {
+  Args args = parse({"--nodes=12abc", "--rate", "1.5x", "--big",
+                     "99999999999999999999", "--huge=1e999", "--empty="},
+                    {"nodes", "rate", "big", "huge", "empty"});
+  EXPECT_THROW((void)args.get_int("nodes", 0), AssertionError);
+  EXPECT_THROW((void)args.get_count("nodes", 0), AssertionError);
+  EXPECT_THROW((void)args.get_double("rate", 0.0), AssertionError);
+  EXPECT_THROW((void)args.get_int("big", 0), AssertionError);
+  EXPECT_THROW((void)args.get_double("huge", 0.0), AssertionError);
+  EXPECT_THROW((void)args.get_int("empty", 0), AssertionError);
+}
+
+TEST(Args, CountsRejectNegativeValues) {
+  Args args = parse({"--nodes", "-5", "--messages=0", "--payload=64"},
+                    {"nodes", "messages", "payload", "seed"});
+  EXPECT_THROW((void)args.get_count("nodes", 8), AssertionError);
+  EXPECT_EQ(args.get_int("nodes", 8), -5);  // plain integers may be negative
+  EXPECT_EQ(args.get_count("messages", 4), 0u);
+  EXPECT_EQ(args.get_count("payload", 512), 64u);
+  EXPECT_EQ(args.get_count("seed", 7), 7u);
 }
 
 TEST(Csv, WritesCurve) {

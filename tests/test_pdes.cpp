@@ -221,6 +221,34 @@ TEST(ShardedScenario, KingModelInvariantAcrossShardCounts) {
   expect_identical(r1, r4);
 }
 
+TEST(ShardedScenario, SitePairRecordingRunsSerially) {
+  // The site-pair traffic map is shared, so System keeps such runs on the
+  // serial engine even where the model would shard (KingModelShardsEngage
+  // uses the same model). The harness leaves that decision to System: a
+  // scenario asking for 4 shards must run and record exactly as 1 shard.
+  auto latency = core::default_latency_model(5, 256);
+  core::SystemConfig config;
+  config.node_count = 64;
+  config.seed = 5;
+  config.latency = latency;
+  config.shard_count = 4;
+  config.net.record_site_pairs = true;
+  core::System system(config);
+  EXPECT_FALSE(system.sharded());
+  EXPECT_EQ(system.shard_count(), 1u);
+
+  harness::ScenarioConfig c1 = small_scenario(1);
+  c1.latency = latency;
+  c1.record_site_pairs = true;
+  harness::ScenarioConfig c4 = c1;
+  c4.shards = 4;
+  auto r1 = harness::run_scenario(c1);
+  auto r4 = harness::run_scenario(c4);
+  EXPECT_FALSE(r1.traffic.site_pair_bytes().empty());
+  EXPECT_EQ(r1.traffic.site_pair_bytes(), r4.traffic.site_pair_bytes());
+  expect_identical(r1, r4);
+}
+
 TEST(ShardedScenario, MatrixModelInvariantAcrossShardCounts) {
   // Hand-built 48-site matrix: every cross-site latency >= 2 ms (so the
   // lookahead clears the floor at any contiguous partitioning) and all the

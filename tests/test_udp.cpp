@@ -9,7 +9,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "gocast/node.h"
@@ -19,6 +18,7 @@
 namespace gocast {
 namespace {
 
+using runtime::pump;
 using runtime::UdpConfig;
 using runtime::UdpRuntime;
 
@@ -34,22 +34,6 @@ struct RecordingEndpoint final : net::Endpoint {
     failures.push_back(to);
   }
 };
-
-/// Interleaves a set of runtimes on this thread for up to `seconds` of wall
-/// time, or until `done` returns true.
-template <class Done>
-bool pump(const std::vector<UdpRuntime*>& runtimes, double seconds,
-          Done done) {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration<double>(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    for (auto* rt : runtimes) rt->poll();
-    if (done()) return true;
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  for (auto* rt : runtimes) rt->poll();
-  return done();
-}
 
 UdpConfig loopback_config(NodeId self) {
   UdpConfig config;
@@ -88,6 +72,17 @@ TEST(UdpRuntime, TimersFireInDeadlineOrder) {
   std::size_t fired = rt.run_for(0.2);
   EXPECT_EQ(fired, 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(UdpRuntime, CancelPreventsFiring) {
+  UdpRuntime rt(loopback_config(1));
+  bool fired = false;
+  auto* fired_ptr = &fired;
+  auto id = rt.schedule_after(0.01, [fired_ptr] { *fired_ptr = true; });
+  EXPECT_TRUE(rt.cancel(id));
+  EXPECT_FALSE(rt.cancel(id));
+  EXPECT_EQ(rt.run_for(0.05), 0u);
+  EXPECT_FALSE(fired);
 }
 
 TEST(UdpRuntime, DatagramsCrossBetweenTwoRuntimes) {

@@ -70,7 +70,7 @@ if rss > ceiling:
              f"{recorded:.1f} MiB baseline — memory regression")
 PY
   rm -f "${rss_smoke_json}"
-  echo "=== bench-smoke: gocastd (live runtime) ==="
+  echo "=== bench-smoke: gocastd (8 UDP nodes in one process) ==="
   cmake --build "${root}/build" -j "${jobs}" --target gocastd
   "${root}/build/tools/gocastd" --nodes 8 --messages 4 --warmup 1.5
   echo "=== bench-smoke passed ==="

@@ -90,26 +90,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  config.node_count = static_cast<std::size_t>(args.get_int("nodes", 1024));
+  config.node_count = args.get_count("nodes", 1024);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.warmup = args.get_double("warmup", 300.0);
-  config.message_count = static_cast<std::size_t>(args.get_int("messages", 200));
+  config.message_count = args.get_count("messages", 200);
   config.message_rate = args.get_double("rate", 100.0);
-  config.payload_bytes = static_cast<std::size_t>(args.get_int("payload", 1024));
+  config.payload_bytes = args.get_count("payload", 1024);
   config.fail_fraction = args.get_double("fail", 0.0);
   config.freeze_after_failure = !args.get_bool("repair", false);
   config.pull_delay_threshold = args.get_double("f", 0.0);
   config.fanout = static_cast<int>(args.get_int("fanout", 5));
   config.drain = args.get_double("drain", 30.0);
   config.fault_spec = args.get("faults", "");
-  config.deferred_nodes = static_cast<std::size_t>(args.get_int("deferred", 0));
+  config.deferred_nodes = args.get_count("deferred", 0);
   config.check_invariants = args.get_bool("invariants", false);
   long shards_default = 1;
   if (const char* env = std::getenv("GOCAST_SHARDS"); env != nullptr) {
     shards_default = std::atol(env);
     if (shards_default < 1) shards_default = 1;
   }
-  config.shards = static_cast<std::size_t>(args.get_int("shards", shards_default));
+  config.shards = args.get_count("shards", shards_default);
 
   std::cout << "running " << harness::protocol_name(config.protocol) << ", "
             << config.node_count << " nodes, " << config.message_count

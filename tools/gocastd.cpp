@@ -1,37 +1,35 @@
-// gocastd — a live GoCast node (or a whole deployment) in one process.
+// gocastd — live GoCast nodes over UDP sockets: GoCastNodeT<UdpContext>,
+// the same protocol templates the simulator runs, each node behind its own
+// non-blocking UDP socket.
 //
-// Two modes run the same protocol templates the simulator runs:
+// One deployment, laid out two ways:
 //
-//   Loopback (default): GoCastNodeT<runtime::RealtimeContext> for N nodes
-//   over the in-process loopback transport — timers sleep on the steady
-//   clock, sends are delivered after an injected per-hop latency.
+//   Single process (default, --nodes N): N runtimes bind 127.0.0.1:0 in
+//   this process, learn each other's ports, and share one thread through
+//   runtime::pump. The one-command quickstart.
 //
-//   UDP (--node-id / --listen / --peers): GoCastNodeT<runtime::UdpContext>
-//   for ONE node behind a real non-blocking UDP socket. Launch N processes
-//   with the same --peers list, same --seed, and a shared --epoch and they
-//   form one overlay: every process derives the same deterministic
-//   bootstrap link set from the seed and installs the links incident to
-//   itself, the lowest node id becomes the initial tree root, and
-//   --inject-at names the (non-root) node that multicasts. Each process
-//   exits 0 once it has delivered every expected multicast (after a short
-//   --drain so laggards can still pull from it), 2 on timeout, 3 on
-//   bind/config errors. SIGTERM/SIGINT interrupt the reactor, drain
-//   briefly, and exit with the delivery status so far.
+//   One node per process (--node-id / --listen / --peers): launch N
+//   processes with the same --peers list, same --seed, and a shared --epoch
+//   and they form one overlay.
 //
-//   --groups G (UDP mode) derives a deterministic multi-group subscription
-//   table from the shared seed (every process computes the same directory,
-//   no coordination), the injector round-robins its multicasts over its
-//   subscribed groups, and the exit code covers delivery in every group
-//   this process subscribes to.
+// Either way every hosted node is set up by the same code: it knows the
+// full membership, installs its incident links from the bootstrap link set
+// every process derives from the seed, the lowest node id becomes the
+// initial tree root, and --inject-at names the (non-root) node that
+// multicasts. With --groups G every process also derives the same
+// multi-group subscription table from the seed (no coordination), each
+// extra group is ring-bootstrapped over its members, and the injector
+// round-robins its multicasts over its subscribed groups.
 //
-// Exit status is 0 only when delivery was complete — the quickstart doubles
-// as a smoke test (tools/check.sh and CI run both modes).
+// The process exits 0 once every node it hosts has delivered every expected
+// multicast in every group it subscribes to (after a short --drain so
+// laggards can still pull from it), 2 on timeout, 3 on bind/config errors.
+// SIGTERM/SIGINT stop the run and exit with the delivery status so far. The
+// quickstart therefore doubles as a smoke test (ctest, tools/check.sh).
 //
-// Loopback flags: --nodes N --messages K --payload BYTES --warmup SECS
-//                 --latency-us U --jitter-us U --seed S
-// UDP flags:      --node-id I --listen HOST:PORT --peers ID@HOST:PORT,...
-//                 --inject-at I --messages K --payload BYTES --warmup SECS
-//                 --timeout SECS --drain SECS --epoch UNIX_SECS --seed S
+// Flags: --nodes N | --node-id I --listen HOST:PORT --peers ID@HOST:PORT,...
+//        --inject-at I --messages K --payload BYTES --warmup SECS
+//        --timeout SECS --drain SECS --epoch UNIX_SECS --seed S --groups G
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
@@ -47,7 +45,6 @@
 #include "gocast/node.h"
 #include "harness/args.h"
 #include "harness/table.h"
-#include "runtime/realtime_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace {
@@ -111,9 +108,8 @@ bool parse_peers(const std::string& s,
 }
 
 /// The deterministic bootstrap link set every process derives from the
-/// shared seed: two random links per node over the sorted id list, exactly
-/// the wiring the loopback mode performs imperatively. Each process then
-/// installs only the links incident to itself.
+/// shared seed: two random links per node over the sorted id list. Each
+/// hosted node then installs only the links incident to itself.
 std::set<std::pair<gocast::NodeId, gocast::NodeId>> bootstrap_links(
     const std::vector<gocast::NodeId>& ids, gocast::Rng& init_rng) {
   std::set<std::pair<gocast::NodeId, gocast::NodeId>> links;
@@ -135,185 +131,188 @@ std::set<std::pair<gocast::NodeId, gocast::NodeId>> bootstrap_links(
   return links;
 }
 
-int run_udp_mode(const gocast::harness::Args& args) {
+using LiveNode = gocast::core::GoCastNodeT<gocast::runtime::UdpContext>;
+
+/// One node this process hosts: its socket runtime, the protocol node on
+/// it, and the multicasts it delivered — keyed by (group, id), since
+/// per-group MsgId sequences overlap.
+struct Hosted {
+  std::unique_ptr<gocast::runtime::UdpRuntime> rt;  // outlives the node
+  std::unique_ptr<LiveNode> node;
+  std::map<std::pair<gocast::GroupId, gocast::MsgId>, std::size_t> delivered;
+};
+
+int run(const gocast::harness::Args& args) {
   using namespace gocast;
 
-  runtime::UdpConfig rt_config;
-  rt_config.self = static_cast<NodeId>(args.get_int("node-id", 0));
-  rt_config.epoch_unix = args.get_double("epoch", 0.0);
-  rt_config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::size_t messages = args.get_count("messages", 4);
+  const std::size_t payload = args.get_count("payload", 512);
+  const std::size_t group_count = args.get_count("groups", 1);
+  const double warmup = args.get_double("warmup", 2.0);
+  const double timeout = args.get_double("timeout", 20.0);
+  const double drain = args.get_double("drain", 1.0);
 
-  std::string listen = args.get("listen", "127.0.0.1:0");
-  if (!parse_hostport(listen, rt_config.listen_host, rt_config.listen_port)) {
-    std::cerr << "gocastd: bad --listen '" << listen << "'\n";
-    return 3;
-  }
-  if (!parse_peers(args.get("peers", ""), rt_config.peers)) {
-    std::cerr << "gocastd: UDP mode needs --peers ID@HOST:PORT,...\n";
-    return 3;
-  }
-
-  // The full deployment id list: every process receives the same --peers
-  // (including its own entry) so the bootstrap derivation agrees.
+  // The runtimes this process hosts, and the full deployment id list.
+  runtime::UdpConfig base;
+  base.seed = seed;
+  base.epoch_unix = args.get_double("epoch", 0.0);
+  std::vector<runtime::UdpConfig> configs;
   std::vector<NodeId> ids;
-  for (const auto& p : rt_config.peers) ids.push_back(p.id);
-  ids.push_back(rt_config.self);
+  if (args.has("node-id") || args.has("listen") || args.has("peers")) {
+    runtime::UdpConfig config = base;
+    config.self = static_cast<NodeId>(args.get_count("node-id", 0));
+    std::string listen = args.get("listen", "127.0.0.1:0");
+    if (!parse_hostport(listen, config.listen_host, config.listen_port)) {
+      std::cerr << "gocastd: bad --listen '" << listen << "'\n";
+      return 3;
+    }
+    if (!parse_peers(args.get("peers", ""), config.peers)) {
+      std::cerr << "gocastd: --node-id/--listen need --peers "
+                   "ID@HOST:PORT,...\n";
+      return 3;
+    }
+    // Every process receives the same --peers (including its own entry) so
+    // the bootstrap derivation agrees.
+    for (const auto& p : config.peers) ids.push_back(p.id);
+    ids.push_back(config.self);
+    configs.push_back(std::move(config));
+  } else {
+    const std::size_t n = args.get_count("nodes", 8);
+    for (NodeId id = 0; id < n; ++id) {
+      runtime::UdpConfig config = base;
+      config.self = id;
+      configs.push_back(config);
+      ids.push_back(id);
+    }
+  }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   if (ids.size() < 2) {
     std::cerr << "gocastd: need at least 2 nodes\n";
     return 3;
   }
-  const NodeId self = rt_config.self;
   const NodeId root = ids.front();
-  const NodeId inject_at = static_cast<NodeId>(
-      args.get_int("inject-at", static_cast<long>(ids[1])));
-  if (inject_at == root) {
-    std::cerr << "gocastd: --inject-at must name a non-root node (root is "
+  const NodeId inject_at =
+      static_cast<NodeId>(args.get_count("inject-at", ids[1]));
+  if (inject_at == root ||
+      !std::binary_search(ids.begin(), ids.end(), inject_at)) {
+    std::cerr << "gocastd: --inject-at must name a non-root node of the "
+                 "deployment (root is "
               << root << ")\n";
     return 3;
   }
-  const std::size_t messages =
-      static_cast<std::size_t>(args.get_int("messages", 4));
-  const std::size_t payload =
-      static_cast<std::size_t>(args.get_int("payload", 512));
-  const double warmup = args.get_double("warmup", 2.0);
-  const double timeout = args.get_double("timeout", 20.0);
-  const double drain = args.get_double("drain", 1.0);
+  if (group_count > 1 && ids.back() != ids.size() - 1) {
+    std::cerr << "gocastd: --groups needs dense node ids 0.."
+              << ids.size() - 1 << "\n";
+    return 3;
+  }
 
-  std::unique_ptr<runtime::UdpRuntime> rt;
+  std::vector<Hosted> hosted(configs.size());
+  std::vector<runtime::UdpRuntime*> runtimes;
   try {
-    rt = std::make_unique<runtime::UdpRuntime>(rt_config);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      hosted[i].rt = std::make_unique<runtime::UdpRuntime>(configs[i]);
+      runtimes.push_back(hosted[i].rt.get());
+    }
   } catch (const runtime::UdpSetupError& e) {
     std::cerr << "gocastd: " << e.what() << "\n";
     return 3;
   }
+  // Runtimes sharing this process learn each other's bound ports.
+  for (auto* a : runtimes) {
+    for (auto* b : runtimes) {
+      if (a != b) a->add_peer(b->config().self, "127.0.0.1", b->port());
+    }
+  }
   install_signal_handlers();
-  rt->watch_stop_flag(&g_stop);
 
+  // Deployment-wide derivations, identical in every process. Protocol
+  // periods are scaled for an interactive run: the defaults target long
+  // simulated runs (15 s heartbeats), which would make a human wait.
   core::GoCastConfig config;
   config.tree.heartbeat_period = 0.25;
   config.dissemination.gossip_period = 0.1;
   for (std::size_t lm = 0; lm < std::min<std::size_t>(ids.size(), 4); ++lm) {
     config.landmarks.push_back(ids[lm]);
   }
-
-  using LiveNode = core::GoCastNodeT<runtime::UdpContext>;
-  Rng rng(rt_config.seed);
-  // Fork per id exactly as the loopback mode does, so every process draws
-  // the same per-node stream regardless of which node it hosts.
-  SparseRng node_rng(0);
-  for (NodeId id : ids) {
-    SparseRng forked = rng.fork_sparse(static_cast<std::uint64_t>(id));
-    if (id == self) node_rng = forked;
-  }
-  LiveNode node(self, *rt, config, node_rng);
-
-  std::vector<membership::MemberEntry> others;
-  for (NodeId id : ids) {
-    if (id == self) {
-      continue;
-    }
-    membership::MemberEntry entry;
-    entry.id = id;
-    others.push_back(entry);
-  }
-  node.seed_view(others);
-
+  Rng rng(seed);
   Rng init_rng = rng.fork("init");
-  for (const auto& [a, b] : bootstrap_links(ids, init_rng)) {
-    if (a == self) node.bootstrap_link(b, overlay::LinkKind::kRandom);
-    if (b == self) node.bootstrap_link(a, overlay::LinkKind::kRandom);
-  }
-  if (self == root) node.become_root();
-
-  // Keyed by (group, id): per-group MsgId sequences overlap, so the group
-  // is part of a delivery's identity.
-  std::map<std::pair<GroupId, MsgId>, std::size_t> delivered;
-  node.set_delivery_hook([&delivered](const core::DeliveryEvent& e) {
-    ++delivered[{e.group, e.id}];
-  });
-
-  // Multi-group deployment (--groups G): the directory derives from
-  // (topology, n, seed) over the dense universe [0, n), so every process
-  // computes identical subscriptions with zero coordination. The injector
-  // round-robins its multicasts over its own subscribed groups, and each
-  // process's exit code covers every group it subscribes to.
-  const std::size_t group_count =
-      static_cast<std::size_t>(args.get_int("groups", 1));
+  const auto links = bootstrap_links(ids, init_rng);
+  // The directory derives from (topology, n, seed) over the dense universe
+  // [0, n), so every process computes identical subscriptions.
   std::shared_ptr<core::GroupDirectory> directory;
   std::vector<GroupId> inject_groups{kDefaultGroup};
   if (group_count > 1) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != static_cast<NodeId>(i)) {
-        std::cerr << "gocastd: --groups needs dense node ids 0.."
-                  << ids.size() - 1 << "\n";
-        return 3;
-      }
-    }
     core::GroupTopology topology;
     topology.group_count = group_count;
     topology.min_group_size = 2;  // swarms are small; keep every group real
-    directory = std::make_shared<core::GroupDirectory>(topology, ids.size(),
-                                                       rt_config.seed);
-    node.enable_multigroup(directory);
-    for (GroupId g : directory->groups_of(self)) node.join_group(g);
-    // Ring-bootstrap each extra group over its sorted member list (every
-    // process derives the same ring and installs the links incident to
-    // itself); the lowest member roots the group's tree.
-    for (GroupId g = 1; g < static_cast<GroupId>(group_count); ++g) {
-      const std::vector<NodeId>& members = directory->members(g);
-      if (members.size() >= 2) {
-        const std::size_t ring = members.size() == 2 ? 1 : members.size();
-        for (std::size_t i = 0; i < ring; ++i) {
-          NodeId a = members[i];
-          NodeId b = members[(i + 1) % members.size()];
-          if (a == self) node.bootstrap_link(b, overlay::LinkKind::kRandom);
-          if (b == self) node.bootstrap_link(a, overlay::LinkKind::kRandom);
-        }
-      }
-      if (!members.empty() && members.front() == self) node.become_root_in(g);
-    }
+    directory =
+        std::make_shared<core::GroupDirectory>(topology, ids.size(), seed);
     for (GroupId g : directory->groups_of(inject_at)) {
       inject_groups.push_back(g);
     }
   }
+  const SimTime start_offset = init_rng.next_range(0.0, 0.1);
 
-  node.start(init_rng.next_range(0.0, 0.1));
-  std::cout << "gocastd: node " << self << " on " << rt_config.listen_host
-            << ":" << rt->port() << ", " << ids.size()
-            << "-node deployment, root " << root << ", warming up " << warmup
-            << " s...\n";
-  rt->run_for(warmup);
-
-  if (self == inject_at && !g_stop) {
-    for (std::size_t k = 0; k < messages; ++k) {
-      const GroupId group = inject_groups[k % inject_groups.size()];
-      rt->schedule_after(0.05 * static_cast<double>(k),
-                         [&node, &rt, payload, group] {
-                           MsgId id = node.multicast_in(group, payload);
-                           std::cout << "  t=" << rt->now()
-                                     << " s: multicast " << id.origin << ":"
-                                     << id.seq << " group " << group << "\n";
-                         });
+  std::vector<membership::MemberEntry> all(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) all[i].id = ids[i];
+  for (Hosted& h : hosted) {
+    const NodeId self = h.rt->config().self;
+    h.node = std::make_unique<LiveNode>(
+        self, *h.rt, config, rng.fork_sparse(static_cast<std::uint64_t>(self)));
+    LiveNode& node = *h.node;
+    std::vector<membership::MemberEntry> others;
+    for (const auto& entry : all) {
+      if (entry.id != self) others.push_back(entry);
     }
+    node.seed_view(others);
+    for (const auto& [a, b] : links) {
+      if (a == self) node.bootstrap_link(b, overlay::LinkKind::kRandom);
+      if (b == self) node.bootstrap_link(a, overlay::LinkKind::kRandom);
+    }
+    if (self == root) node.become_root();
+    node.set_delivery_hook([&h](const core::DeliveryEvent& e) {
+      ++h.delivered[{e.group, e.id}];
+    });
+    if (directory != nullptr) {
+      node.enable_multigroup(directory);
+      for (GroupId g : directory->groups_of(self)) node.join_group(g);
+      // Ring-bootstrap each extra group over its sorted member list; the
+      // lowest member roots the group's tree.
+      for (GroupId g = 1; g < static_cast<GroupId>(group_count); ++g) {
+        const std::vector<NodeId>& members = directory->members(g);
+        if (members.size() >= 2) {
+          const std::size_t ring = members.size() == 2 ? 1 : members.size();
+          for (std::size_t i = 0; i < ring; ++i) {
+            NodeId a = members[i];
+            NodeId b = members[(i + 1) % members.size()];
+            if (a == self) node.bootstrap_link(b, overlay::LinkKind::kRandom);
+            if (b == self) node.bootstrap_link(a, overlay::LinkKind::kRandom);
+          }
+        }
+        if (!members.empty() && members.front() == self) {
+          node.become_root_in(g);
+        }
+      }
+    }
+    node.start(start_offset);
+    h.rt->watch_stop_flag(&g_stop);
   }
 
-  // Count multicasts from the injector that reached this node, per group;
-  // every process must see all of them in every group it subscribes to
-  // (the injector included, via its own delivery hook).
-  auto delivered_all = [&] {
+  // Every hosted node must see every multicast from the injector in every
+  // group it subscribes to (the injector included, via its own hook).
+  auto delivered_all = [&](const Hosted& h) {
+    const NodeId self = h.rt->config().self;
     std::map<GroupId, std::size_t> expect;
     for (std::size_t k = 0; k < messages; ++k) {
       const GroupId g = inject_groups[k % inject_groups.size()];
-      if (g == kDefaultGroup ||
-          (directory != nullptr && directory->subscribed(self, g))) {
-        ++expect[g];
-      }
+      if (g == kDefaultGroup || directory->subscribed(self, g)) ++expect[g];
     }
     for (const auto& [g, want] : expect) {
       std::size_t seen = 0;
-      for (const auto& [key, count] : delivered) {
+      for (const auto& [key, count] : h.delivered) {
         if (key.first == g && key.second.origin == inject_at && count > 0) {
           ++seen;
         }
@@ -322,168 +321,73 @@ int run_udp_mode(const gocast::harness::Args& args) {
     }
     return true;
   };
+  auto stopped = [] { return g_stop != 0; };
+  auto finished = [&] {
+    return stopped() ||
+           std::all_of(hosted.begin(), hosted.end(), delivered_all);
+  };
 
-  const SimTime deadline = rt->now() + timeout;
-  while (!g_stop && !delivered_all() && rt->now() < deadline) {
-    rt->run_for(0.1);
+  if (hosted.size() == 1) {
+    const runtime::UdpRuntime& rt = *hosted.front().rt;
+    std::cout << "gocastd: node " << rt.config().self << " on "
+              << rt.config().listen_host << ":" << rt.port() << ", ";
+  } else {
+    std::cout << "gocastd: " << hosted.size() << " nodes on 127.0.0.1, ";
   }
-  const bool complete = delivered_all();
+  std::cout << ids.size() << "-node deployment, root " << root
+            << ", warming up " << warmup << " s...\n";
+  runtime::pump(runtimes, warmup, stopped);
+
+  for (Hosted& h : hosted) {
+    if (h.rt->config().self != inject_at || g_stop) continue;
+    LiveNode* node = h.node.get();
+    runtime::UdpRuntime* rt = h.rt.get();
+    for (std::size_t k = 0; k < messages; ++k) {
+      const GroupId group = inject_groups[k % inject_groups.size()];
+      rt->schedule_after(0.05 * static_cast<double>(k),
+                         [node, rt, payload, group] {
+                           MsgId id = node->multicast_in(group, payload);
+                           std::cout << "  t=" << rt->now()
+                                     << " s: multicast " << id.origin << ":"
+                                     << id.seq << " group " << group << "\n";
+                         });
+    }
+  }
+
+  runtime::pump(runtimes, timeout, finished);
+  const bool complete =
+      std::all_of(hosted.begin(), hosted.end(), delivered_all);
 
   // Keep forwarding briefly so nodes still catching up can pull from us —
   // a process that exits the instant it finishes starves the tail of the
   // swarm.
-  if (!g_stop && drain > 0.0) rt->run_for(drain);
+  if (!g_stop && drain > 0.0) runtime::pump(runtimes, drain, stopped);
 
-  const auto& stats = rt->stats();
-  std::cout << "gocastd: node " << self << (g_stop ? " (interrupted)" : "")
-            << ": delivered " << node.deliveries_count() << ", duplicates "
-            << node.duplicates_count() << ", degree "
-            << node.overlay().degree() << "  (udp: " << stats.datagrams_sent
-            << " sent, " << stats.datagrams_received << " received, "
-            << stats.rejected_frames << " rejected, " << stats.send_failures
-            << " send failures)\n";
+  harness::Table table({"node", "deliveries", "duplicates", "degree",
+                        "udp sent", "received", "rejected", "send failures"});
+  for (const Hosted& h : hosted) {
+    const auto& stats = h.rt->stats();
+    table.add_row({std::to_string(h.node->id()),
+                   std::to_string(h.node->deliveries_count()),
+                   std::to_string(h.node->duplicates_count()),
+                   std::to_string(h.node->overlay().degree()),
+                   std::to_string(stats.datagrams_sent),
+                   std::to_string(stats.datagrams_received),
+                   std::to_string(stats.rejected_frames),
+                   std::to_string(stats.send_failures)});
+  }
+  table.print(std::cout);
+  if (g_stop) std::cout << "gocastd: interrupted\n";
   if (!complete) {
     std::cout << "FAILED: incomplete delivery\n";
     return 2;
   }
-  if (group_count > 1) {
-    std::cout << "OK: node " << self << " delivered every multicast in all "
-              << (1 + directory->groups_of(self).size())
-              << " subscribed groups\n";
-  } else {
-    std::cout << "OK: node " << self << " delivered every multicast\n";
-  }
-  return 0;
-}
-
-int run_loopback_mode(const gocast::harness::Args& args) {
-  using namespace gocast;
-
-  const std::size_t n = static_cast<std::size_t>(args.get_int("nodes", 8));
-  const std::size_t messages =
-      static_cast<std::size_t>(args.get_int("messages", 4));
-  const std::size_t payload =
-      static_cast<std::size_t>(args.get_int("payload", 512));
-  const double warmup = args.get_double("warmup", 2.0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (n < 2) {
-    std::cerr << "gocastd: need at least 2 nodes\n";
-    return 3;
-  }
-  if (args.get_int("groups", 1) > 1) {
-    std::cerr << "gocastd: --groups is a UDP-mode flag (use --node-id / "
-                 "--listen / --peers)\n";
-    return 3;
-  }
-
-  runtime::RealtimeConfig rt_config;
-  rt_config.one_way_latency = args.get_double("latency-us", 200.0) * 1e-6;
-  rt_config.jitter = args.get_double("jitter-us", 50.0) * 1e-6;
-  rt_config.seed = seed;
-  runtime::RealtimeRuntime rt(rt_config);
-  for (std::size_t i = 0; i < n; ++i) rt.add_node();
-  install_signal_handlers();
-
-  // Protocol periods scaled for an interactive demo: the defaults target
-  // long simulated runs (15 s heartbeats), which would make a human wait.
-  core::GoCastConfig config;
-  config.tree.heartbeat_period = 0.25;
-  config.dissemination.gossip_period = 0.1;
-  for (NodeId lm = 0; lm < std::min<std::size_t>(n, 4); ++lm) {
-    config.landmarks.push_back(lm);
-  }
-
-  using LiveNode = core::GoCastNodeT<runtime::RealtimeContext>;
-  Rng rng(seed);
-  std::vector<std::unique_ptr<LiveNode>> nodes;
-  nodes.reserve(n);
-  for (NodeId id = 0; id < n; ++id) {
-    nodes.push_back(std::make_unique<LiveNode>(
-        id, rt, config, rng.fork_sparse(static_cast<std::uint64_t>(id))));
-  }
-
-  // Same initialization a deployment's bootstrap service would provide:
-  // every node knows the full (small) membership and starts with two random
-  // links; node 0 is the initial root, as in the paper.
-  Rng init_rng = rng.fork("init");
-  std::vector<membership::MemberEntry> all(n);
-  for (NodeId id = 0; id < n; ++id) all[id].id = id;
-  for (NodeId id = 0; id < n; ++id) {
-    std::vector<membership::MemberEntry> others;
-    for (const auto& entry : all) {
-      if (entry.id != id) others.push_back(entry);
-    }
-    nodes[id]->seed_view(others);
-  }
-  for (NodeId id = 0; id < n; ++id) {
-    std::size_t made = 0;
-    while (made < 2) {
-      NodeId other = static_cast<NodeId>(init_rng.next_below(n));
-      if (other == id || nodes[id]->overlay().is_neighbor(other)) continue;
-      nodes[id]->bootstrap_link(other, overlay::LinkKind::kRandom);
-      nodes[other]->bootstrap_link(id, overlay::LinkKind::kRandom);
-      ++made;
-    }
-  }
-  nodes[0]->become_root();
-
-  std::map<MsgId, std::size_t> delivered;
-  for (auto& node : nodes) {
-    node->set_delivery_hook(
-        [&delivered](const core::DeliveryEvent& e) { ++delivered[e.id]; });
-  }
-
-  for (NodeId id = 0; id < n; ++id) {
-    nodes[id]->start(init_rng.next_range(0.0, 0.1));
-  }
-
-  std::cout << "gocastd: " << n << " live nodes, one-way latency "
-            << rt_config.one_way_latency * 1e6 << " us, warming up " << warmup
-            << " s...\n";
-  rt.run_for(warmup);
-
-  // Inject every multicast at a non-root node; the first tree hop is then a
-  // real child→parent→subtree traversal, not a root-local shortcut.
-  struct Inject {
-    runtime::RealtimeRuntime* rt;
-    std::vector<std::unique_ptr<LiveNode>>* nodes;
-    std::size_t payload;
-  } inject{&rt, &nodes, payload};
-  for (std::size_t k = 0; k < messages; ++k) {
-    NodeId sender = static_cast<NodeId>(1 + k % (n - 1));
-    rt.schedule_after(0.05 * static_cast<double>(k), [&inject, sender] {
-      MsgId id = (*inject.nodes)[sender]->multicast(inject.payload);
-      std::cout << "  t=" << inject.rt->now() << " s: node " << sender
-                << " multicast " << id.origin << ":" << id.seq << "\n";
-    });
-  }
-  // Run long enough for the burst plus gossip recovery of any tree misses.
-  rt.run_for(0.05 * static_cast<double>(messages) + 2.0);
-
-  harness::Table table({"node", "deliveries", "duplicates", "degree"});
-  for (const auto& node : nodes) {
-    table.add_row({std::to_string(node->id()),
-                   std::to_string(node->deliveries_count()),
-                   std::to_string(node->duplicates_count()),
-                   std::to_string(node->overlay().degree())});
-  }
-  table.print(std::cout);
-
-  std::size_t complete = 0;
-  for (const auto& [id, count] : delivered) {
-    if (count == n) ++complete;
-  }
-  const auto& stats = rt.stats();
-  std::cout << "\nmessages fully delivered: " << complete << "/" << messages
-            << "  (network: " << stats.messages_sent << " sends, "
-            << stats.messages_delivered << " deliveries, " << stats.bytes_sent
-            << " bytes)\n";
-  if (complete != messages) {
-    std::cout << "FAILED: incomplete delivery\n";
-    return 2;
-  }
-  std::cout << "OK: every node delivered every multicast\n";
+  std::cout << "OK: "
+            << (hosted.size() == 1
+                    ? "node " + std::to_string(hosted.front().node->id())
+                    : "all " + std::to_string(hosted.size()) + " nodes")
+            << " delivered every multicast"
+            << (group_count > 1 ? " in every subscribed group" : "") << "\n";
   return 0;
 }
 
@@ -493,35 +397,27 @@ int main(int argc, char** argv) {
   using namespace gocast;
 
   harness::Args args(argc, argv,
-                     {"nodes", "messages", "payload", "warmup", "latency-us",
-                      "jitter-us", "seed", "node-id", "listen", "peers",
-                      "inject-at", "timeout", "drain", "epoch", "groups",
-                      "help"});
+                     {"nodes", "messages", "payload", "warmup", "seed",
+                      "node-id", "listen", "peers", "inject-at", "timeout",
+                      "drain", "epoch", "groups", "help"});
   if (args.get_bool("help", false)) {
     std::cout
-        << "gocastd — run live GoCast nodes (loopback or UDP mode)\n"
-           "loopback: --nodes N [8] --messages K [4] --payload BYTES [512]\n"
-           "          --warmup SECS [2.0] --latency-us U [200] --jitter-us U "
-           "[50]\n"
-           "          --seed S [1]\n"
-           "udp:      --node-id I --listen HOST:PORT --peers "
+        << "gocastd — run live GoCast nodes over UDP sockets\n"
+           "one process: --nodes N [8]   (N nodes on 127.0.0.1 ports)\n"
+           "per process: --node-id I --listen HOST:PORT --peers "
            "ID@HOST:PORT,...\n"
-           "          --inject-at I --messages K [4] --payload BYTES [512]\n"
-           "          --warmup SECS [2.0] --timeout SECS [20] --drain SECS "
-           "[1.0]\n"
-           "          --epoch UNIX_SECS --seed S [1] --groups G [1]\n"
-           "          (--groups: deterministic multi-group subscriptions "
-           "from the\n"
-           "           shared seed; the injector round-robins its groups "
-           "and exit\n"
-           "           status covers every subscribed group)\n"
+           "             --epoch UNIX_SECS\n"
+           "both:        --inject-at I [second-lowest id] --messages K [4]\n"
+           "             --payload BYTES [512] --warmup SECS [2.0]\n"
+           "             --timeout SECS [20] --drain SECS [1.0] --seed S [1]\n"
+           "             --groups G [1]   (deterministic multi-group "
+           "subscriptions\n"
+           "             from the seed; the injector round-robins its "
+           "groups and\n"
+           "             exit status covers every subscribed group)\n"
            "exit: 0 full delivery, 2 timeout/incomplete, 3 bind/config "
            "error\n";
     return 0;
   }
-
-  if (args.has("node-id") || args.has("listen") || args.has("peers")) {
-    return run_udp_mode(args);
-  }
-  return run_loopback_mode(args);
+  return run(args);
 }
