@@ -65,19 +65,6 @@ std::string spec_for(const Cell& cell, double at) {
   return spec.str();
 }
 
-core::DefenseParams defenses_on() {
-  core::DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;  // challenge each neighbor on every gossip rotation
-  return d;
-}
-
 /// All cells run under mild link loss: with perfect links the gossip+pull
 /// redundancy absorbs a 10% byzantine population outright (delivery stays at
 /// 100% with or without defenses), so loss is what gives the attack teeth —
@@ -106,11 +93,10 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = args.get_bool("smoke", false);
-  std::size_t nodes = static_cast<std::size_t>(args.get_int(
-      "nodes", static_cast<long>(smoke ? 192 : scaled_count(256, 64))));
+  std::size_t nodes =
+      args.get_count("nodes", smoke ? 192 : scaled_count(256, 64));
   double fraction = args.get_double("fraction", 0.1);
-  std::size_t seeds =
-      static_cast<std::size_t>(args.get_int("seeds", smoke ? 1 : 2));
+  std::size_t seeds = args.get_count("seeds", smoke ? 1 : 2);
   std::uint64_t seed0 = static_cast<std::uint64_t>(args.get_int("seed0", 21));
   double warmup = args.get_double("warmup", env_double("GOCAST_WARMUP", 120.0));
   std::string behavior_arg = args.get("behavior", smoke ? "mixed" : "all");
@@ -178,10 +164,10 @@ int main(int argc, char** argv) {
     // Sample eviction coverage when the traffic stops: during the silent
     // drain no new evidence can accrue against a re-connecting adversary.
     config.coverage_probe_at = traffic_end;
-    if (cell.defenses) config.defense = defenses_on();
+    if (cell.defenses) config.defense = core::DefenseProfile::kBase;
     return harness::run_scenario(config);
   };
-  harness::Runner runner(static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<harness::ScenarioResult> results =
       runner.run<harness::ScenarioResult>(cells.size(), experiment);
 

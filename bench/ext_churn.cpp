@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
   const double phase = 60.0;         // churn + traffic window
   const double settle_gap = 15.0;    // churn off, no traffic
   const double settle_phase = 30.0;  // traffic only
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<Row> rows = runner.run<Row>(
       std::size(churn_rates), [&](std::size_t job) {
         const double churn_rate = churn_rates[job];

@@ -47,33 +47,9 @@ using namespace gocast;
 
 struct Cell {
   std::string kind;  // flash | mute | clique | eclipse
-  std::string tier;  // off | base | full
+  std::string tier;  // off | base | full (core::DefenseProfile)
   std::uint64_t seed = 0;
 };
-
-/// PR 5 defense set: per-node suspicion with audits — what independent
-/// free-riders are measured against, and what cliques defeat.
-core::DefenseParams base_defenses() {
-  core::DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;
-  return d;
-}
-
-/// PR 10 additions: clique-aware (cover) eviction + join-path hardening.
-core::DefenseParams full_defenses() {
-  core::DefenseParams d = base_defenses();
-  d.cover_detection = true;
-  d.join_diversity = true;
-  d.corroborate_candidates = true;
-  return d;
-}
 
 /// Same rationale as ext_byzantine: mild link loss is what gives the attacks
 /// teeth — lost tree pushes force pull recovery, the path adversaries poison.
@@ -119,11 +95,10 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = args.get_bool("smoke", false);
-  std::size_t nodes = static_cast<std::size_t>(args.get_int(
-      "nodes", static_cast<long>(smoke ? 192 : scaled_count(256, 64))));
+  std::size_t nodes =
+      args.get_count("nodes", smoke ? 192 : scaled_count(256, 64));
   double fraction = args.get_double("fraction", 0.1);
-  std::size_t seeds =
-      static_cast<std::size_t>(args.get_int("seeds", smoke ? 1 : 2));
+  std::size_t seeds = args.get_count("seeds", smoke ? 1 : 2);
   std::uint64_t seed0 = static_cast<std::uint64_t>(args.get_int("seed0", 31));
   double warmup = args.get_double("warmup", env_double("GOCAST_WARMUP", 120.0));
 
@@ -196,12 +171,12 @@ int main(int argc, char** argv) {
     spec << warmup << ":flash:n=" << deferred << ",ramp=" << flash_ramp;
     config.fault_spec = spec.str();
 
-    if (cell.tier == "base") config.defense = base_defenses();
-    if (cell.tier == "full") config.defense = full_defenses();
+    if (cell.tier == "base") config.defense = core::DefenseProfile::kBase;
+    if (cell.tier == "full") config.defense = core::DefenseProfile::kFull;
     if (smoke) config.check_invariants = true;
     return harness::run_scenario(config);
   };
-  harness::Runner runner(static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<harness::ScenarioResult> results =
       runner.run<harness::ScenarioResult>(cells.size(), experiment);
 

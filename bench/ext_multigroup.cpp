@@ -44,10 +44,9 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = args.get_bool("smoke", false);
-  const std::size_t nodes = static_cast<std::size_t>(args.get_int(
-      "nodes", static_cast<long>(smoke ? 192 : scaled_count(256, 96))));
-  const std::size_t messages = static_cast<std::size_t>(
-      args.get_int("messages", smoke ? 160 : 240));
+  const std::size_t nodes =
+      args.get_count("nodes", smoke ? 192 : scaled_count(256, 96));
+  const std::size_t messages = args.get_count("messages", smoke ? 160 : 240);
   const double warmup =
       args.get_double("warmup", env_double("GOCAST_WARMUP", 150.0));
 
@@ -72,8 +71,7 @@ int main(int argc, char** argv) {
       "one membership plane, per-group trees/dissemination; mux packs "
       "co-subscribed digests into one gossip per period");
 
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<harness::ScenarioResult> results =
       runner.run<harness::ScenarioResult>(cells.size(), [&](std::size_t job) {
         const Cell& cell = cells[job];

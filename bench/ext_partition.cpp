@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::size_t nodes = static_cast<std::size_t>(
-      args.get_int("nodes", static_cast<long>(scaled_count(512, 64))));
+  std::size_t nodes = args.get_count("nodes", scaled_count(512, 64));
   std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   double warmup = args.get_double("warmup", env_double("GOCAST_WARMUP", 180.0));
   bool readvertise = args.get_bool("readvertise", false);
@@ -166,8 +165,7 @@ int main(int argc, char** argv) {
     out.violations = checker.violations();
     return out;
   };
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   Outcome outcome = runner.run<Outcome>(1, experiment).front();
 
   struct Window {

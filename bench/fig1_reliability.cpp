@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
            c.seed = 1000 + static_cast<std::uint64_t>(fanout);
          }});
   }
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   for (const harness::SweepRun& run : harness::run_sweep(spec, runner)) {
     const int fanout = run.job.config.fanout;
     double missed = 1.0 - run.result.report.delivered_fraction;

@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
       harness::Protocol::kRandomOverlay, harness::Protocol::kPushGossip,
       harness::Protocol::kNoWaitGossip};
 
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   auto runs = harness::run_sweep(spec, runner);
 
   harness::Table table({"protocol", "mean", "p50", "p90", "p99", "max",

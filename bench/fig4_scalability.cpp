@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
                               c.drain = 45.0;
                             }});
 
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   auto runs = harness::run_sweep(spec, runner);
 
   struct Cell {

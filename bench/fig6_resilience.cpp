@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
   // final overlay graph (pure graph surgery — cheaper and exactly what the
   // metric measures). The surgery below consumes one shared Rng stream, so
   // it stays serial.
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<analysis::OverlayGraph> graphs =
       runner.run<analysis::OverlayGraph>(
           std::size(rand_degrees), [&](std::size_t g) {

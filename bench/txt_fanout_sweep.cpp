@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
          [fanout](harness::ScenarioConfig& c) { c.fanout = fanout; }});
   }
 
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   auto runs = harness::run_sweep(spec, runner);
 
   harness::Table table({"fanout", "mean delay", "p90", "max", "delivered",

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
     double random = 0.0;
   };
   const int rand_degrees[] = {0, 1, 2, 3, 4};
-  harness::Runner runner(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  harness::Runner runner(args.get_count("threads", 0));
   std::vector<Row> rows = runner.run<Row>(
       std::size(rand_degrees), [&](std::size_t g) {
         const int c_rand = rand_degrees[g];

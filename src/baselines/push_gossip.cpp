@@ -8,6 +8,13 @@
 
 namespace gocast::baselines {
 
+namespace {
+/// An unanswered pull is re-issued after this, at most kPullMaxAttempts
+/// times (the timeout and attempt budget of GoCast's dissemination layer).
+constexpr SimTime kPullRetryTimeout = 2.0;
+constexpr int kPullMaxAttempts = 5;
+}  // namespace
+
 template <runtime::Context RT>
 PushGossipNodeT<RT>::PushGossipNodeT(NodeId id, RT rt, PushGossipParams params,
                                      Rng rng)
@@ -131,14 +138,14 @@ void PushGossipNodeT<RT>::issue_pull(NodeId target, MsgId id) {
   rt_.send(id_, target,
            rt_.template make<core::PullRequestMsg>(id, net::PeerDegrees{}));
   // Self-driven retry: a lost pull or response must not orphan the message.
-  rt_.schedule_after(params_.pull_retry_timeout, [this, id] {
+  rt_.schedule_after(kPullRetryTimeout, [this, id] {
     auto it = pull_pending_.find(id);
     if (it == pull_pending_.end()) return;
     if (store_.count(id) > 0 || !rt_.alive(id_)) {
       pull_pending_.erase(it);
       return;
     }
-    if (++it->second.attempts >= params_.pull_max_attempts) {
+    if (++it->second.attempts >= kPullMaxAttempts) {
       pull_pending_.erase(it);
       return;
     }

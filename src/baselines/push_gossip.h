@@ -41,8 +41,6 @@ struct PushGossipParams {
   SimTime gc_payload_after = 120.0;
   SimTime gc_record_after = 240.0;
   SimTime gc_sweep_period = 5.0;
-  SimTime pull_retry_timeout = 2.0;
-  int pull_max_attempts = 5;
 };
 
 template <runtime::Context RT>

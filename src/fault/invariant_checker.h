@@ -23,45 +23,13 @@ struct InvariantViolation {
   std::string what;
 };
 
+/// Which structural checks run. Dead-neighbor and store-GC checks always
+/// run; their thresholds, the sweep period and the settle time are constants
+/// in invariant_checker.cpp.
 struct InvariantCheckerParams {
-  /// Sweep period.
-  SimTime period = 5.0;
-
-  /// Structural invariants (degrees, tree, connectivity) hold only at
-  /// equilibrium: they are checked once this long has passed since start /
-  /// the last disturbance (fault event).
-  SimTime settle_after = 60.0;
-
-  /// Extra degree headroom above the stable band [C, C+1]. 0 audits the
-  /// paper's band exactly; the default 0 is safe because maintenance sheds
-  /// excess every cycle (r = 0.1 s), far faster than the sweep period.
-  int degree_slack = 0;
-
-  /// Per-node tolerance below the target C before under-degree counts as a
-  /// violation. The default 2 audits the C1 floor (§2.2.3: never drop below
-  /// C - 2): the paper promises the band {C, C+1} only for "most nodes" —
-  /// a node can sit under target indefinitely when every candidate is at
-  /// capacity — but C1 must hold for every node.
-  int degree_lower_slack = 2;
-
-  /// Aggregate band check: the fraction of live nodes whose random or
-  /// nearby degree is outside the strict band {C, C+1} may not exceed this
-  /// (mirrors the property-test reading of the paper's claim).
-  double out_of_band_fraction = 0.10;
-
-  /// A live node may list a dead neighbor at most this long (TCP-reset and
-  /// keepalive detection should fire well within it).
-  SimTime dead_neighbor_timeout = 10.0;
-
-  /// Slack added on top of gc_payload_after / gc_record_after (one sweep
-  /// period plus margin) before store retention counts as a violation.
-  SimTime gc_margin = 10.0;
-
   bool check_degrees = true;
-  bool check_dead_neighbors = true;
   bool check_tree = true;
   bool check_connectivity = true;
-  bool check_store_gc = true;
 };
 
 class InvariantChecker {
@@ -80,7 +48,7 @@ class InvariantChecker {
 
   /// While a partition is active the overlay *cannot* be connected or
   /// spanned by one tree; connectivity/tree checks are suspended (and
-  /// resume settle_after seconds after the partition heals).
+  /// resume a settle time after the partition heals).
   void set_partition_active(bool active);
 
   /// Marks a node as an active adversarial victim (FaultInjector behavior
@@ -122,9 +90,7 @@ class InvariantChecker {
   /// radius inside which degree distortion is attributable to the attack).
   [[nodiscard]] bool in_adversary_blast_radius(NodeId id) const;
 
-  [[nodiscard]] bool settled(SimTime now) const {
-    return now - last_disturbance_ >= params_.settle_after;
-  }
+  [[nodiscard]] bool settled(SimTime now) const;
 
   core::System& system_;
   InvariantCheckerParams params_;

@@ -11,13 +11,68 @@
 
 namespace gocast::core {
 
+namespace {
+
+/// Membership entries piggybacked per gossip (partial-view refresh).
+constexpr std::size_t kPiggybackMembers = 3;
+
+/// Adaptive gossip: multiplier applied to the period after each idle tick.
+constexpr double kGossipBackoff = 1.5;
+
+/// An unanswered pull is re-issued after this (a lost pull request or a
+/// lost response would otherwise orphan the message: each neighbor
+/// advertises an ID only once). Also the deadline of a challenge pull.
+constexpr SimTime kPullRetryTimeout = 2.0;
+/// Retries per pull before giving up and waiting for a fresh digest
+/// (exhaustions are counted — see DisseminationT::pull_retries_exhausted).
+constexpr int kPullMaxAttempts = 5;
+/// Each retry waits kPullRetryTimeout * kPullRetryBackoff^attempts, so a
+/// capped budget of retries covers an exponentially growing window instead
+/// of hammering a fixed period.
+constexpr double kPullRetryBackoff = 1.5;
+/// Uniform multiplicative jitter on every retry timeout (a fraction of the
+/// backed-off timeout), de-synchronizing retry storms after a burst loss.
+constexpr double kPullRetryJitter = 0.25;
+
+// Defense tunables (DefenseProfile, DESIGN.md §9).
+
+/// Suspicion added per offense.
+constexpr double kSuspicionIncrement = 1.0;
+/// Seconds for a suspicion score to halve.
+constexpr double kSuspicionHalflife = 30.0;
+/// Deprioritize / evict at or above this score.
+constexpr double kSuspicionThreshold = 2.5;
+/// Candidate ban after an eviction.
+constexpr SimTime kBlacklistDuration = 600.0;
+/// Digest sanity: entries one digest may carry before it is dropped whole.
+constexpr std::size_t kMaxDigestEntries = 128;
+/// Parent data-silence watch: the parent is "silent" once it has pushed
+/// nothing for this long while deliveries kept arriving along other paths.
+constexpr SimTime kSilenceWindow = 2.0;
+/// Challenge pulls probe a message at least this old (every honest live
+/// node must hold it) ...
+constexpr SimTime kAuditMinAge = 5.0;
+/// ... and at most this old (its payload is still retained, well inside b).
+constexpr SimTime kAuditMaxAge = 30.0;
+/// Suspicion added by a failed challenge — heavier than a routine offense.
+constexpr double kAuditIncrement = 1.25;
+/// Cover detection: sweep period per neighbor.
+constexpr SimTime kCoverWindow = 10.0;
+/// Cover detection: a window must see this many deliveries to give a
+/// verdict.
+constexpr std::uint32_t kCoverMinDeliveries = 20;
+/// Cover detection: strikes before eviction.
+constexpr std::uint32_t kCoverStrikeLimit = 3;
+
+}  // namespace
+
 template <runtime::Context RT>
 DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
                                    membership::PartialView& view,
                                    overlay::OverlayManagerT<RT>& overlay,
                                    tree::TreeManagerT<RT>* tree,
                                    DisseminationParams params,
-                                   DefenseParams defense, Rng rng,
+                                   DefenseProfile defense, Rng rng,
                                    GroupId group,
                                    SuspicionLedger* shared_suspicion)
     : self_(self),
@@ -38,12 +93,6 @@ DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
   GOCAST_ASSERT(params_.pull_delay_threshold >= 0.0);
   GOCAST_ASSERT(params_.gc_record_after >= params_.gc_payload_after);
   GOCAST_ASSERT(params_.gossip_period_max >= params_.gossip_period);
-  GOCAST_ASSERT(params_.gossip_backoff >= 1.0);
-  GOCAST_ASSERT(params_.pull_max_attempts >= 1);
-  GOCAST_ASSERT(params_.pull_retry_backoff >= 1.0);
-  GOCAST_ASSERT(params_.pull_retry_jitter >= 0.0);
-  GOCAST_ASSERT(defense_.suspicion_decay_halflife > 0.0);
-  GOCAST_ASSERT(defense_.suspicion_threshold > 0.0);
   // Flat tables sized for the common case, not the worst: pending_ holds one
   // slot per overlay neighbor (degree target ~6), pull_pending_ a handful of
   // in-flight recoveries, and the store grows deterministically toward the
@@ -53,7 +102,7 @@ DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
   store_.reserve(32);
   pending_.reserve(8);
   pull_pending_.reserve(16);
-  piggyback_buf_.reserve(params_.piggyback_members + 1);
+  piggyback_buf_.reserve(kPiggybackMembers + 1);
 }
 
 template <runtime::Context RT>
@@ -112,7 +161,7 @@ void DisseminationT<RT>::accept_message(MsgId id, SimTime inject_time,
   }
   ++deliveries_;
   pull_pending_.erase(id);
-  if (defense_.audit_pulls) recent_ids_.emplace_back(rt_.now(), id);
+  if (suspicion_defenses()) recent_ids_.emplace_back(rt_.now(), id);
   // A clique peer just supplied a payload we relayed a pull for: answer the
   // parked requesters as if we had held it all along (never runs honest —
   // only relay_pull populates the parking lot).
@@ -130,7 +179,7 @@ void DisseminationT<RT>::accept_message(MsgId id, SimTime inject_time,
         DeliveryEvent{self_, id, inject_time, rt_.now(), path, group_});
   }
 
-  if (defense_.suspect_silent && params_.use_tree && tree_ != nullptr) {
+  if (suspicion_defenses() && params_.use_tree && tree_ != nullptr) {
     check_parent_silence();
   }
 
@@ -185,7 +234,7 @@ void DisseminationT<RT>::forward_on_tree(MsgId id, const Stored& stored,
 template <runtime::Context RT>
 void DisseminationT<RT>::on_data(NodeId from, const DataMsg& msg) {
   if (!active_) return;  // traffic for a group we already left
-  if (defense_.cover_detection && group_ == kDefaultGroup) {
+  if (collusion_defenses() && group_ == kDefaultGroup) {
     // Contribution ledger: a tree push is volunteered work, a pull answer is
     // on-demand service. The clique signature is all service, no volunteering.
     SuspicionLedger::CoverState& cs = cover_state(from);
@@ -195,12 +244,12 @@ void DisseminationT<RT>::on_data(NodeId from, const DataMsg& msg) {
       ++cs.served;
     }
   }
-  if (defense_.suspect_silent && from == watched_parent_) {
+  if (suspicion_defenses() && from == watched_parent_) {
     // Any push from the watched parent — fresh or redundant — is proof it
     // still forwards.
     last_parent_data_ = rt_.now();
   }
-  if (defense_.audit_pulls) {
+  if (suspicion_defenses()) {
     auto audit_it = audit_pending_.find(msg.id);
     if (audit_it != audit_pending_.end() && audit_it->second.target == from) {
       // Challenge answered: a passed spot-check wipes the slate. Lost
@@ -240,8 +289,8 @@ void DisseminationT<RT>::on_data(NodeId from, const DataMsg& msg) {
 
 template <runtime::Context RT>
 void DisseminationT<RT>::on_gossip_timer() {
-  if (defense_.cover_detection && group_ == kDefaultGroup &&
-      rt_.now() - cover_sweep_at_ >= defense_.cover_window) {
+  if (collusion_defenses() && group_ == kDefaultGroup &&
+      rt_.now() - cover_sweep_at_ >= kCoverWindow) {
     cover_sweep_at_ = rt_.now();
     cover_sweep();
   }
@@ -256,7 +305,7 @@ void DisseminationT<RT>::on_gossip_timer() {
     }
     if (idle) {
       gossip_timer_.set_period(std::min(
-          gossip_timer_.period() * params_.gossip_backoff,
+          gossip_timer_.period() * kGossipBackoff,
           params_.gossip_period_max));
     } else {
       gossip_timer_.set_period(params_.gossip_period);
@@ -267,15 +316,14 @@ void DisseminationT<RT>::on_gossip_timer() {
   NodeId target = rotation_[rotation_idx_];
   rotation_idx_ = (rotation_idx_ + 1) % rotation_.size();
 
-  if (defense_.deprioritize_suspects &&
-      suspicion_score(target) >= defense_.suspicion_threshold) {
+  if (suspicion_defenses() && suspicion_score(target) >= kSuspicionThreshold) {
     // Skip past suspects in the rotation while an unsuspected neighbor
     // exists; if every neighbor is suspect, gossip to the original pick
     // anyway (starving the whole rotation would only hurt ourselves).
     for (std::size_t i = 0; i + 1 < rotation_.size(); ++i) {
       NodeId candidate = rotation_[rotation_idx_];
       rotation_idx_ = (rotation_idx_ + 1) % rotation_.size();
-      if (suspicion_score(candidate) < defense_.suspicion_threshold) {
+      if (suspicion_score(candidate) < kSuspicionThreshold) {
         target = candidate;
         break;
       }
@@ -308,7 +356,7 @@ void DisseminationT<RT>::on_gossip_timer() {
                digest_buf_, piggyback_members(), overlay_.my_degrees(),
                group_));
 
-  if (defense_.audit_pulls) maybe_challenge(target);
+  if (suspicion_defenses()) maybe_challenge(target);
 }
 
 template <runtime::Context RT>
@@ -356,7 +404,7 @@ DisseminationT<RT>::piggyback_members() {
     // are all right here" claim), so a joiner integrating these gossips
     // fills its candidate set — and then its C_rand slots — with the ring.
     const std::vector<NodeId>& ring = *behavior_->roster;
-    for (std::size_t i = 0; i < params_.piggyback_members; ++i) {
+    for (std::size_t i = 0; i < kPiggybackMembers; ++i) {
       NodeId peer = ring[eclipse_idx_ % ring.size()];
       eclipse_idx_ = (eclipse_idx_ + 1) % ring.size();
       if (peer == self_) {
@@ -374,7 +422,7 @@ DisseminationT<RT>::piggyback_members() {
   }
 
   if (view_.empty()) return members;
-  for (std::size_t i = 0; i < params_.piggyback_members; ++i) {
+  for (std::size_t i = 0; i < kPiggybackMembers; ++i) {
     // With-replacement picks: O(1) per gossip; duplicates are harmless.
     members.push_back(view_.entry_at(
         static_cast<std::size_t>(rng_.next_below(view_.size()))));
@@ -385,22 +433,18 @@ DisseminationT<RT>::piggyback_members() {
 template <runtime::Context RT>
 void DisseminationT<RT>::on_gossip_digest(NodeId from,
                                           const GossipDigestMsg& msg) {
-  if (defense_.join_diversity || defense_.corroborate_candidates) {
-    // Join-path defenses: advertiser-attributed merge, capped per source
-    // when diversity is on (0 = uncapped, corroboration tracking only).
-    view_.integrate_from(
-        from, msg.members,
-        defense_.join_diversity ? defense_.max_new_per_source : 0);
+  if (collusion_defenses()) {
+    // Join-path defenses: advertiser-attributed merge, capped per source.
+    view_.integrate_from(from, msg.members, membership::kMaxNewPerSource);
   } else {
     view_.integrate(msg.members);
   }
   if (!active_) return;
 
-  if (defense_.digest_sanity &&
-      msg.entries.size() > defense_.max_digest_entries) {
+  if (suspicion_defenses() && msg.entries.size() > kMaxDigestEntries) {
     // No honest backlog produces digests this large at our message rates;
     // treat the flood as hostile and drop it whole.
-    raise_suspicion(from, defense_.suspicion_increment);
+    raise_suspicion(from, kSuspicionIncrement);
     return;
   }
 
@@ -412,8 +456,8 @@ void DisseminationT<RT>::on_grouped_digest(NodeId from,
                                            const DigestEntry* entries,
                                            std::size_t count) {
   if (!active_) return;
-  if (defense_.digest_sanity && count > defense_.max_digest_entries) {
-    raise_suspicion(from, defense_.suspicion_increment);
+  if (suspicion_defenses() && count > kMaxDigestEntries) {
+    raise_suspicion(from, kSuspicionIncrement);
     return;
   }
   process_digest_entries(from, entries, count);
@@ -425,7 +469,7 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
                                                 std::size_t count) {
   SimTime now = rt_.now();
 
-  if (defense_.cover_detection && group_ == kDefaultGroup && count > 0) {
+  if (collusion_defenses() && group_ == kDefaultGroup && count > 0) {
     // Advertising ids is volunteered work regardless of whether we already
     // hold them — only genuinely silent neighbors accumulate cover evidence.
     cover_state(from).volunteered += static_cast<std::uint32_t>(count);
@@ -451,16 +495,16 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
 
   for (std::size_t i = 0; i < count; ++i) {
     const DigestEntry& entry = entries[i];
-    if (defense_.digest_sanity) {
+    if (suspicion_defenses()) {
       if (entry.inject_time > now + 1e-9) {
         // Injection times are sender-reported; one from the future is a
         // fabrication by construction.
-        raise_suspicion(from, defense_.suspicion_increment);
+        raise_suspicion(from, kSuspicionIncrement);
         continue;
       }
       if (entry.id.origin == self_ && entry.id.seq >= next_seq_) {
         // An id in our own namespace that we never assigned: forged.
-        raise_suspicion(from, defense_.suspicion_increment);
+        raise_suspicion(from, kSuspicionIncrement);
         continue;
       }
     }
@@ -472,7 +516,7 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
     if (pull_pending_.count(entry.id) > 0) {
       // Pull already in flight; remember the alternate source so a retry
       // can escalate away from a non-answering target.
-      if (defense_.escalate_pulls) note_advertiser(entry.id, from);
+      if (suspicion_defenses()) note_advertiser(entry.id, from);
       continue;
     }
     pull_pending_[entry.id] = PullState{from, now, 0, {}};
@@ -515,11 +559,9 @@ void DisseminationT<RT>::schedule_pull_retry(MsgId id) {
   // perturbs the piggyback-sampling sequence.
   auto it = pull_pending_.find(id);
   if (it == pull_pending_.end()) return;
-  SimTime delay = params_.pull_retry_timeout *
-                  std::pow(params_.pull_retry_backoff, it->second.attempts);
-  if (params_.pull_retry_jitter > 0.0) {
-    delay *= 1.0 + params_.pull_retry_jitter * retry_rng_.next_unit();
-  }
+  SimTime delay = kPullRetryTimeout *
+                  std::pow(kPullRetryBackoff, it->second.attempts);
+  delay *= 1.0 + kPullRetryJitter * retry_rng_.next_unit();
   rt_.schedule_after(delay, [this, id] { on_pull_retry_timeout(id); });
 }
 
@@ -534,18 +576,18 @@ void DisseminationT<RT>::on_pull_retry_timeout(MsgId id) {
   // The target was asked and produced nothing within the timeout — the one
   // observable every pull-serving adversary (digest liar, mute forwarder,
   // crashed peer) has in common.
-  if (defense_.suspicion_enabled()) {
-    raise_suspicion(it->second.target, defense_.suspicion_increment);
+  if (suspicion_defenses()) {
+    raise_suspicion(it->second.target, kSuspicionIncrement);
   }
 
-  if (++it->second.attempts >= params_.pull_max_attempts) {
+  if (++it->second.attempts >= kPullMaxAttempts) {
     // Budget burned; a future digest may re-trigger the recovery.
     ++pull_retries_exhausted_;
     pull_pending_.erase(it);
     return;
   }
   NodeId target = it->second.target;
-  if (defense_.escalate_pulls) {
+  if (suspicion_defenses()) {
     target = pick_escalation_target(it->second.advertisers, target);
     it->second.target = target;
   }
@@ -593,16 +635,16 @@ void DisseminationT<RT>::raise_suspicion(NodeId peer, double increment) {
   SimTime now = rt_.now();
   auto& st = suspicion_ledger_->scores[peer];
   if (st.score > 0.0 && now > st.updated) {
-    st.score *= std::exp2(-(now - st.updated) / defense_.suspicion_decay_halflife);
+    st.score *= std::exp2(-(now - st.updated) / kSuspicionHalflife);
   }
   st.score += increment;
   st.updated = now;
 
-  if (defense_.evict_suspects && st.score >= defense_.suspicion_threshold) {
+  if (st.score >= kSuspicionThreshold) {
     // Reset before evicting: the eviction answers the accumulated evidence,
     // and the blacklist keeps the peer away while the slate is clean.
     st.score = 0.0;
-    if (overlay_.evict_neighbor(peer, defense_.blacklist_duration)) {
+    if (overlay_.evict_neighbor(peer, kBlacklistDuration)) {
       suspicion_ledger_->evictions.push_back(Eviction{peer, now});
       GOCAST_DEBUG("node " << self_ << " evicted suspect " << peer << " at "
                            << now);
@@ -617,8 +659,7 @@ double DisseminationT<RT>::suspicion_score(NodeId peer) const {
   SimTime now = rt_.now();
   double score = it->second.score;
   if (score > 0.0 && now > it->second.updated) {
-    score *= std::exp2(-(now - it->second.updated) /
-                       defense_.suspicion_decay_halflife);
+    score *= std::exp2(-(now - it->second.updated) / kSuspicionHalflife);
   }
   return score;
 }
@@ -639,24 +680,23 @@ void DisseminationT<RT>::check_parent_silence() {
     return;
   }
   if (parent == kInvalidNode || parent == self_) return;
-  if (now - last_parent_data_ > defense_.silence_window) {
-    raise_suspicion(parent, defense_.suspicion_increment);
+  if (now - last_parent_data_ > kSilenceWindow) {
+    raise_suspicion(parent, kSuspicionIncrement);
     last_parent_data_ = now;  // one offense per silent window
   }
 }
 
 template <runtime::Context RT>
 void DisseminationT<RT>::maybe_challenge(NodeId target) {
-  // Every audit_every-th gossip to a neighbor doubles as a spot-check: pull
-  // a message old enough that every honest live node must still hold it
-  // (older than audit_min_age, younger than the payload-retention bound
-  // audit_max_age). An honest neighbor answers and the duplicate transfer
-  // aborts after the header; mute forwarders and digest liars refuse pulls
-  // for foreign ids, time out, and take a heavier suspicion hit than a
-  // routine offense.
+  // Every gossip to a neighbor doubles as a spot-check: pull a message old
+  // enough that every honest live node must still hold it (older than
+  // kAuditMinAge, younger than the payload-retention bound kAuditMaxAge).
+  // An honest neighbor answers and the duplicate transfer aborts after the
+  // header; mute forwarders and digest liars refuse pulls for foreign ids,
+  // time out, and take a heavier suspicion hit than a routine offense.
   SimTime now = rt_.now();
   while (recent_head_ < recent_ids_.size() &&
-         now - recent_ids_[recent_head_].first > defense_.audit_max_age) {
+         now - recent_ids_[recent_head_].first > kAuditMaxAge) {
     ++recent_head_;
   }
   if (recent_head_ > 1024) {
@@ -668,15 +708,8 @@ void DisseminationT<RT>::maybe_challenge(NodeId target) {
   }
   if (recent_head_ >= recent_ids_.size()) return;
   const auto& [received_at, id] = recent_ids_[recent_head_];
-  if (now - received_at < defense_.audit_min_age) return;  // nothing old enough
+  if (now - received_at < kAuditMinAge) return;  // nothing old enough
 
-  auto [cd, fresh] = audit_countdown_.try_emplace(
-      target, static_cast<std::uint32_t>(defense_.audit_every));
-  if (cd->second > 1) {
-    --cd->second;
-    return;
-  }
-  cd->second = static_cast<std::uint32_t>(defense_.audit_every);
   const std::uint64_t epoch = ++audit_epoch_;
   auto [pending, inserted] = audit_pending_.try_emplace(id, AuditProbe{target, epoch});
   (void)pending;
@@ -685,7 +718,7 @@ void DisseminationT<RT>::maybe_challenge(NodeId target) {
   rt_.send(self_, target,
            rt_.template make<PullRequestMsg>(id, overlay_.my_degrees(),
                                              group_));
-  rt_.schedule_after(params_.pull_retry_timeout, [this, target, id, epoch] {
+  rt_.schedule_after(kPullRetryTimeout, [this, target, id, epoch] {
     auto it = audit_pending_.find(id);
     // The epoch check pins the timeout to ITS challenge: after the original
     // probe was answered, a later probe may reuse the same (id, target) pair
@@ -696,7 +729,7 @@ void DisseminationT<RT>::maybe_challenge(NodeId target) {
     }
     audit_pending_.erase(it);
     if (!rt_.alive(self_)) return;
-    raise_suspicion(target, defense_.audit_increment);
+    raise_suspicion(target, kAuditIncrement);
   });
 }
 
@@ -729,13 +762,13 @@ void DisseminationT<RT>::cover_sweep() {
     auto it = suspicion_ledger_->cover.find(peer);
     if (it == suspicion_ledger_->cover.end()) continue;  // never active
     SuspicionLedger::CoverState& cs = it->second;
-    if (now - cs.window_start < defense_.cover_window) {
+    if (now - cs.window_start < kCoverWindow) {
       // Partial window (state created mid-interval, e.g. by a pull answer
       // from a fresh neighbor): no verdict, and no reset — the window keeps
       // accumulating until it spans a full sweep interval.
       continue;
     }
-    if (deliveries_ - cs.deliveries_at_start < defense_.cover_min_deliveries) {
+    if (deliveries_ - cs.deliveries_at_start < kCoverMinDeliveries) {
       continue;  // quiet window: no verdict either way
     }
     // Tree parents/children legitimately send us empty digests (they learn
@@ -770,9 +803,9 @@ void DisseminationT<RT>::cover_sweep() {
   }
   for (NodeId peer : flagged) {
     SuspicionLedger::CoverState& cs = suspicion_ledger_->cover[peer];
-    if (cs.strikes < defense_.cover_strike_limit) continue;
+    if (cs.strikes < kCoverStrikeLimit) continue;
     cs.strikes = 0;
-    if (overlay_.evict_neighbor(peer, defense_.blacklist_duration)) {
+    if (overlay_.evict_neighbor(peer, kBlacklistDuration)) {
       ++cover_evictions_;
       suspicion_ledger_->evictions.push_back(Eviction{peer, now});
       GOCAST_DEBUG("node " << self_ << " cover-evicted " << peer << " at "
@@ -1002,8 +1035,7 @@ void DisseminationT<RT>::on_neighbor_removed(NodeId peer) {
     rotation_.erase(it);
     if (rotation_idx_ > idx) --rotation_idx_;
   }
-  audit_countdown_.erase(peer);
-  if (defense_.cover_detection) suspicion_ledger_->cover.erase(peer);
+  if (collusion_defenses()) suspicion_ledger_->cover.erase(peer);
   auto pit = pending_.find(peer);
   if (pit != pending_.end()) {
     // Swap-and-clear: park the vector's capacity for the next neighbor
@@ -1023,7 +1055,6 @@ std::size_t DisseminationT<RT>::memory_bytes() const {
                       (suspicion_ledger_ == &own_suspicion_
                            ? own_suspicion_.memory_bytes()
                            : 0) +
-                      audit_countdown_.memory_bytes() +
                       audit_pending_.memory_bytes() +
                       clique_pending_.memory_bytes() +
                       retry_rng_.memory_bytes();

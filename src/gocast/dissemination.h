@@ -51,16 +51,9 @@ class DisseminationT final : public overlay::OverlayListener {
   DisseminationT(NodeId self, RT rt, membership::PartialView& view,
                  overlay::OverlayManagerT<RT>& overlay,
                  tree::TreeManagerT<RT>* tree, DisseminationParams params,
-                 DefenseParams defense, Rng rng,
+                 DefenseProfile defense, Rng rng,
                  GroupId group = kDefaultGroup,
                  SuspicionLedger* shared_suspicion = nullptr);
-
-  DisseminationT(NodeId self, RT rt, membership::PartialView& view,
-                 overlay::OverlayManagerT<RT>& overlay,
-                 tree::TreeManagerT<RT>* tree, DisseminationParams params,
-                 Rng rng)
-      : DisseminationT(self, rt, view, overlay, tree, params, DefenseParams{},
-                       std::move(rng)) {}
 
   void start(SimTime stagger);
   void stop();
@@ -157,7 +150,7 @@ class DisseminationT final : public overlay::OverlayListener {
   /// Spot-check pulls issued by the audit defense.
   [[nodiscard]] std::uint64_t audits_sent() const { return audits_sent_; }
   /// Evictions performed by the cover-detection defense (clique-aware
-  /// eviction, DefenseParams::cover_detection). Subset of evictions().
+  /// eviction, DefenseProfile::kFull). Subset of evictions().
   [[nodiscard]] std::uint64_t cover_evictions() const {
     return cover_evictions_;
   }
@@ -177,7 +170,6 @@ class DisseminationT final : public overlay::OverlayListener {
     return suspicion_ledger_->evictions;
   }
   [[nodiscard]] const DisseminationParams& params() const { return params_; }
-  [[nodiscard]] const DefenseParams& defense() const { return defense_; }
   [[nodiscard]] GroupId group() const { return group_; }
 
   /// Fills and returns the reusable piggyback buffer (valid until the next
@@ -223,20 +215,21 @@ class DisseminationT final : public overlay::OverlayListener {
   void on_pull_retry_timeout(MsgId id);
   void remove_from_pending(NodeId neighbor, MsgId id);
   /// Adds `increment` to a peer's decayed suspicion score; evicts it from
-  /// the overlay once the threshold is crossed (when that defense is on).
+  /// the overlay once the threshold is crossed. Called only under kBase or
+  /// kFull.
   void raise_suspicion(NodeId peer, double increment);
-  /// Data-silence watch on the tree parent (suspect_silent signal (b)):
-  /// called on every delivery; raises suspicion when the current parent has
-  /// pushed nothing for a whole silence window while traffic kept arriving.
+  /// Data-silence watch on the tree parent: called on every delivery;
+  /// raises suspicion when the current parent has pushed nothing for a whole
+  /// silence window while traffic kept arriving.
   void check_parent_silence();
-  /// Challenge pulls (DefenseParams::audit_pulls): every audit_every-th
-  /// gossip to `target` also spot-checks it with a pull for a message old
-  /// enough that every honest live node must hold it.
+  /// Challenge pulls (DefenseProfile::kBase): every gossip to `target` also
+  /// spot-checks it with a pull for a message old enough that every honest
+  /// live node must hold it.
   void maybe_challenge(NodeId target);
   /// Cover-detection bookkeeping: the per-neighbor contribution record,
   /// created (window anchored at now) on first observed activity.
   SuspicionLedger::CoverState& cover_state(NodeId peer);
-  /// Windowed contribution sweep (DefenseParams::cover_detection): strikes
+  /// Windowed contribution sweep (DefenseProfile::kFull): strikes
   /// neighbors that keep serving pulls while volunteering nothing, adds the
   /// correlated-cover bonus strike when several neighbors show the signature
   /// in the same sweep, and evicts at the strike limit. Driven by the gossip
@@ -268,7 +261,16 @@ class DisseminationT final : public overlay::OverlayListener {
   overlay::OverlayManagerT<RT>& overlay_;
   tree::TreeManagerT<RT>* tree_;
   DisseminationParams params_;
-  DefenseParams defense_;
+  /// kBase and kFull: suspicion scores and the per-offense countermeasures.
+  [[nodiscard]] bool suspicion_defenses() const {
+    return defense_ != DefenseProfile::kOff;
+  }
+  /// kFull only: cover detection and the join-path defenses.
+  [[nodiscard]] bool collusion_defenses() const {
+    return defense_ == DefenseProfile::kFull;
+  }
+
+  DefenseProfile defense_;
   const FaultBehavior* behavior_ = nullptr;
   GroupId group_ = kDefaultGroup;
   /// Private ledger, used only when no shared one was injected.
@@ -303,17 +305,15 @@ class DisseminationT final : public overlay::OverlayListener {
   /// redundant copies is demonstrably forwarding).
   NodeId watched_parent_ = kInvalidNode;
   SimTime last_parent_data_ = 0.0;
-  /// Challenge pulls: per-neighbor gossip countdown until the next
-  /// spot-check, the challenges currently awaiting an answer, and a ring of
-  /// recent deliveries (time-ordered) that candidate challenge ids are
-  /// drawn from. Each probe carries an epoch so a stale timeout (whose own
-  /// challenge was already answered) cannot fail a newer in-flight probe
+  /// Challenge pulls: the challenges currently awaiting an answer, and a
+  /// ring of recent deliveries (time-ordered) that candidate challenge ids
+  /// are drawn from. Each probe carries an epoch so a stale timeout (whose
+  /// own challenge was already answered) cannot fail a newer in-flight probe
   /// for the same (id, target) pair.
   struct AuditProbe {
     NodeId target = kInvalidNode;
     std::uint64_t epoch = 0;
   };
-  common::FlatMap<NodeId, std::uint32_t> audit_countdown_;
   common::FlatMap<MsgId, AuditProbe> audit_pending_;
   std::uint64_t audit_epoch_ = 0;
   /// Clique relay parking lot: requesters waiting per id until a clique

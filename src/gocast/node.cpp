@@ -11,6 +11,19 @@
 namespace gocast::core {
 
 namespace {
+
+/// Partial-view capacity (bounded member list).
+constexpr std::size_t kViewCapacity = 256;
+
+/// Multi-group link keeper: how often a node checks that each subscribed
+/// extra group still has co-subscribed overlay neighbors, requesting one
+/// link per sparse group per check. Keeps every per-group subgraph
+/// connected while node-global overlay maintenance churns links.
+constexpr SimTime kGroupLinkPeriod = 2.0;
+/// Minimum co-subscribed neighbors per extra group before the keeper asks
+/// for more.
+constexpr std::size_t kGroupMinNeighbors = 2;
+
 GoCastConfig normalize(GoCastConfig config) {
   // Gossip-only baselines have no tree; keep the flags consistent.
   if (!config.dissemination.use_tree) config.tree.enabled = false;
@@ -43,7 +56,7 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
     : id_(id),
       rt_(rt),
       config_(normalize_shared(std::move(config))),
-      view_(id, config_->view_capacity, rng.fork("view"),
+      view_(id, kViewCapacity, rng.fork("view"),
             config_->landmark_store),
       overlay_(id, rt_, view_, config_->overlay, rng.fork_sparse("overlay")),
       tree_(id, rt_, overlay_, config_->tree),
@@ -53,7 +66,7 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
                      rng.fork("dissemination"), kDefaultGroup, &suspicion_),
       own_landmarks_(membership::empty_landmarks()),
       group_rng_(rng.fork_sparse("multigroup")) {
-  if (config_->defense.corroborate_candidates) view_.enable_corroboration();
+  if (config_->defense == DefenseProfile::kFull) view_.enable_corroboration();
   overlay_.add_listener(&tree_);
   overlay_.add_listener(&dissemination_);
   overlay_.set_behavior(&behavior_);
@@ -88,8 +101,8 @@ void GoCastNodeT<RT>::start(SimTime stagger) {
   }
   if (multigroup_) {
     keeper_timer_ = std::make_unique<runtime::PeriodicTimer<RT>>(
-        rt_, config_->group_link_period, [this] { on_keeper_timer(); });
-    keeper_timer_->start(stagger + config_->group_link_period);
+        rt_, kGroupLinkPeriod, [this] { on_keeper_timer(); });
+    keeper_timer_->start(stagger + kGroupLinkPeriod);
   }
   measure_landmarks();
 }
@@ -160,11 +173,8 @@ void GoCastNodeT<RT>::seed_view(
 template <runtime::Context RT>
 void GoCastNodeT<RT>::integrate_members(
     NodeId from, std::span<const membership::MemberEntry> entries) {
-  const DefenseParams& defense = config_->defense;
-  if (defense.join_diversity || defense.corroborate_candidates) {
-    view_.integrate_from(
-        from, entries,
-        defense.join_diversity ? defense.max_new_per_source : 0);
+  if (config_->defense == DefenseProfile::kFull) {
+    view_.integrate_from(from, entries, membership::kMaxNewPerSource);
   } else {
     view_.integrate(entries);
   }
@@ -426,7 +436,7 @@ template <runtime::Context RT>
 void GoCastNodeT<RT>::refresh_group_peers(GroupId g, GroupState& st) {
   // Gossip peers for an extra group come from the membership plane: every
   // co-subscribed overlay neighbor rides for free (the link already
-  // exists), topped up to group_min_neighbors with members sampled from
+  // exists), topped up to kGroupMinNeighbors with members sampled from
   // the directory. Overlay maintenance keeps optimizing toward its own
   // degree targets and would prune any link we added for group
   // connectivity, so sparse groups instead stay connected through these
@@ -450,13 +460,13 @@ void GoCastNodeT<RT>::refresh_group_peers(GroupId g, GroupState& st) {
     return !directory_->subscribed(p, g) ||
            std::find(peers.begin(), peers.end(), p) != peers.end();
   });
-  const std::size_t want = config_->group_min_neighbors;
+  const std::size_t want = kGroupMinNeighbors;
   if (organic >= want) {
     // Enough organic co-subscribed links: retire fallbacks one per tick,
     // oldest first, so backlogs queued to them still get a turn.
     if (!st.fallbacks.empty()) st.fallbacks.erase(st.fallbacks.begin());
   } else {
-    constexpr std::uint64_t kRemixInterval = 5;  // ticks; ~10 s at default
+    constexpr std::uint64_t kRemixInterval = 5;  // keeper ticks; ~10 s
     if (organic + st.fallbacks.size() >= want &&
         st.keeper_ticks % kRemixInterval == 0 && !st.fallbacks.empty()) {
       st.fallbacks.erase(st.fallbacks.begin());

@@ -205,7 +205,7 @@ class GoCastNodeT final : public net::Endpoint {
   void on_join_request(NodeId from);
   void on_join_reply(NodeId from, const overlay::JoinReplyMsg& msg);
   void schedule_join_retry(NodeId bootstrap, int attempt);
-  /// Routes a membership batch through the join-path defenses when enabled
+  /// Routes a membership batch through the join-path defenses under kFull
   /// (advertiser-attributed merge with diversity cap / corroboration),
   /// otherwise the plain integrate.
   void integrate_members(NodeId from,

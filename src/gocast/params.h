@@ -44,9 +44,6 @@ struct DisseminationParams {
   /// overlay"): messages then spread exclusively via neighbor gossip pulls.
   bool use_tree = true;
 
-  /// Membership entries piggybacked per gossip (partial-view refresh).
-  std::size_t piggyback_members = 3;
-
   /// When true, a gossip carrying no message IDs is suppressed ("a gossip
   /// can be saved if there is no multicast message during that period").
   /// Off by default so membership piggybacking keeps flowing.
@@ -58,125 +55,48 @@ struct DisseminationParams {
   /// gossip_period the moment one arrives.
   bool adaptive_gossip = false;
   SimTime gossip_period_max = 1.0;
-  double gossip_backoff = 1.5;
-
-  /// An unanswered pull is re-issued after this (a lost pull request or a
-  /// lost response would otherwise orphan the message: each neighbor
-  /// advertises an ID only once).
-  SimTime pull_retry_timeout = 2.0;
-  /// Retries per pull before giving up and waiting for a fresh digest
-  /// (exhaustions are counted — see DisseminationT::pull_retries_exhausted).
-  int pull_max_attempts = 5;
-  /// Each retry waits pull_retry_timeout * pull_retry_backoff^attempts, so a
-  /// capped budget of retries covers an exponentially growing window instead
-  /// of hammering a fixed period.
-  double pull_retry_backoff = 1.5;
-  /// Uniform multiplicative jitter on every retry timeout (a fraction of the
-  /// backed-off timeout), de-synchronizing retry storms after a burst loss.
-  double pull_retry_jitter = 0.25;
 };
 
-/// Protocol-level defenses against misbehaving neighbors (DESIGN.md §9).
-/// Every defense is individually gated and off by default: with all flags
-/// off the honest path is byte-identical to the undefended protocol.
-struct DefenseParams {
-  /// Maintain per-neighbor suspicion scores (raised by pull-retry timeouts
-  /// and — see suspect_silent — by sustained digest silence; decayed
-  /// exponentially). Implied by any of the consumers below.
-  bool track_suspicion = false;
-
-  /// On a pull-retry timeout, escalate to an alternate neighbor that also
-  /// advertised the id (lowest-suspicion first) instead of re-asking the
-  /// same peer.
-  bool escalate_pulls = false;
-
-  /// Round-robin gossip targeting skips neighbors above the suspicion
-  /// threshold while an unsuspected neighbor is available.
-  bool deprioritize_suspects = false;
-
-  /// Crossing the suspicion threshold evicts the neighbor from the overlay
-  /// (reusing the drop/replace machinery) and blacklists it as a candidate
-  /// for blacklist_duration.
-  bool evict_suspects = false;
-
-  /// Sanity-check inbound digests: cap the entries processed per digest,
-  /// reject entries with future inject times, and reject advertisements of
-  /// our own unsent ids — each offense raises the sender's suspicion.
-  bool digest_sanity = false;
-
-  /// Data-silence watch on the tree parent: a parent is obligated to push
-  /// every message down, so one that pushes nothing for a whole
-  /// silence_window while deliveries keep arriving by other paths carries
-  /// the observable signature of a mute forwarder. (Digest emptiness is NOT
-  /// used as evidence: a neighbor that legitimately learns everything from
-  /// us — e.g. a tree child — sends empty digests forever.)
-  bool suspect_silent = false;
-
-  /// Challenge pulls: every audit_every-th gossip to a neighbor also sends
-  /// a spot-check pull for a message old enough (audit_min_age) that every
-  /// honest live node must hold it, yet young enough (audit_max_age) that
-  /// its payload is still retained. Honest peers answer at the cost of one
-  /// aborted duplicate transfer; mute forwarders and digest liars refuse
-  /// all pulls for foreign ids, time out, and take audit_increment of
-  /// suspicion (heavier than a routine offense). This makes both behaviors
-  /// observable from every neighbor's vantage point, not only from nodes
-  /// that happen to pull from them. Note: fresh joiners / recently healed
-  /// partitions legitimately lack old messages, so deployments with heavy
-  /// churn should keep this off or raise the eviction threshold.
-  bool audit_pulls = false;
-
-  /// Clique-aware eviction (PR 10, DESIGN.md §9). Colluding cliques defeat
-  /// the per-offense evidence channels above by answering audits for each
-  /// other: an answered audit wipes the answerer's score, so a free-rider
-  /// with clique cover never crosses the threshold. This defense watches the
-  /// *contribution* signature instead: a neighbor that keeps answering pulls
-  /// (so it provably holds traffic) yet volunteers nothing — no digest
-  /// entries, no tree pushes — across a whole cover_window with many
-  /// deliveries is serving as cover, not as a peer. Strikes accrue per
-  /// window, are deliberately NOT reset by answered audits (an answer proves
-  /// liveness, not contribution), and when several neighbors show the same
-  /// signature in the same sweep — the correlated-cover pattern of a clique
-  /// — each gains an extra strike. Tree parents/children are exempt (their
-  /// digest silence is legitimate; parents are covered by suspect_silent).
-  bool cover_detection = false;
-
-  /// Join-path candidate diversity (PR 10): cap how many previously-unknown
-  /// members one advertiser can insert into the partial view per message
-  /// (join replies included), so an eclipse attacker cannot flood a joiner's
-  /// candidate set from a single vantage point.
-  bool join_diversity = false;
-
-  /// Multi-source corroboration (PR 10): a view entry becomes eligible as an
-  /// overlay candidate (and its landmark vector trusted for proximity
-  /// estimates) only after two *distinct* advertisers have vouched for it.
-  /// Seeded/bootstrap entries are trusted.
-  bool corroborate_candidates = false;
-
-  double suspicion_increment = 1.0;      ///< added per offense
-  double suspicion_decay_halflife = 30.0;  ///< seconds for a score to halve
-  double suspicion_threshold = 2.5;      ///< deprioritize / evict above this
-  SimTime blacklist_duration = 600.0;    ///< candidate ban after eviction
-  std::size_t max_digest_entries = 128;  ///< digest_sanity per-message cap
-  /// suspect_silent: the parent is "silent" once it has pushed nothing for
-  /// this long while deliveries kept arriving along other paths.
-  SimTime silence_window = 2.0;
-  /// audit_pulls tunables (see the flag above).
-  std::size_t audit_every = 4;
-  SimTime audit_min_age = 5.0;
-  SimTime audit_max_age = 30.0;
-  double audit_increment = 1.25;
-  /// cover_detection tunables (see the flag above).
-  SimTime cover_window = 10.0;             ///< sweep period per neighbor
-  std::uint32_t cover_min_deliveries = 20; ///< window must see this many
-  std::uint32_t cover_strike_limit = 3;    ///< strikes before eviction
-  /// join_diversity tunable: new-entry budget per advertiser per message.
-  std::size_t max_new_per_source = 8;
-
-  [[nodiscard]] bool suspicion_enabled() const {
-    return track_suspicion || escalate_pulls || deprioritize_suspects ||
-           evict_suspects || digest_sanity || suspect_silent || audit_pulls ||
-           cover_detection;
-  }
+/// Protocol-level defenses against misbehaving neighbors (DESIGN.md §9), as
+/// three cumulative profiles. The tunables are constants next to their
+/// consumers (gocast/dissemination.cpp, membership/partial_view.h).
+enum class DefenseProfile : std::uint8_t {
+  /// The paper's protocol: the honest path is byte-identical to the
+  /// undefended simulator.
+  kOff,
+  /// Per-neighbor suspicion scores (raised by pull-retry timeouts and the
+  /// offenses below, decayed exponentially) and their consumers:
+  /// - a timed-out pull escalates to the lowest-suspicion alternate
+  ///   advertiser of the id instead of re-asking the same peer;
+  /// - the gossip round-robin skips suspects while an unsuspected neighbor
+  ///   is available;
+  /// - crossing the threshold evicts the neighbor from the overlay and
+  ///   blacklists it as a candidate;
+  /// - digest sanity: oversized digests, future inject times and forged
+  ///   ids in our own namespace are offenses;
+  /// - parent data-silence watch: a tree parent that pushes nothing for a
+  ///   whole silence window while deliveries keep arriving by other paths
+  ///   shows the signature of a mute forwarder (digest emptiness is NOT
+  ///   evidence: a tree child legitimately sends empty digests forever);
+  /// - challenge pulls: every gossip also spot-checks the target with a
+  ///   pull for a message every honest live node must still hold; mute
+  ///   forwarders and digest liars time out and take a heavier hit. Fresh
+  ///   joiners and healed partitions legitimately lack old messages, so
+  ///   deployments with heavy churn should stay at kOff.
+  kBase,
+  /// kBase plus the collusion and join-path defenses:
+  /// - cover detection: a neighbor that keeps answering pulls yet
+  ///   volunteers nothing (no digest entries, no tree pushes) across whole
+  ///   windows with many deliveries is serving as clique cover; strikes
+  ///   survive answered audits and evict at a limit (tree neighbors are
+  ///   exempt);
+  /// - join diversity: each advertiser may insert only a few
+  ///   previously-unknown members into the partial view per message, so an
+  ///   eclipse attacker cannot flood a joiner's candidate set;
+  /// - corroboration: a view entry becomes an overlay candidate only after
+  ///   two distinct advertisers vouched for it (bootstrap seeds are
+  ///   trusted).
+  kFull,
 };
 
 /// Everything one GoCast node needs.
@@ -184,9 +104,6 @@ struct GoCastConfig {
   overlay::OverlayParams overlay;
   tree::TreeParams tree;
   DisseminationParams dissemination;
-
-  /// Partial-view capacity (bounded member list).
-  std::size_t view_capacity = 256;
 
   /// Partition-heal recovery (extension; see DESIGN.md §7 and
   /// bench/ext_partition). When a node's tree root cedes to a different root
@@ -200,9 +117,8 @@ struct GoCastConfig {
   /// traffic after root changes and is not part of the paper's protocol.
   bool readvertise_on_heal = false;
 
-  /// Defenses against adversarial neighbors (all off by default; see
-  /// DefenseParams and DESIGN.md §9).
-  DefenseParams defense;
+  /// Defenses against adversarial neighbors (DESIGN.md §9).
+  DefenseProfile defense = DefenseProfile::kOff;
 
   /// Multi-group digest multiplexing (DESIGN.md §10): when a node subscribes
   /// to several groups, ONE grouped gossip per period carries per-group
@@ -211,15 +127,6 @@ struct GoCastConfig {
   /// Only consulted once enable_multigroup() is called; single-group nodes
   /// never multiplex and stay byte-identical to the pre-multigroup protocol.
   bool multiplex_gossip = true;
-
-  /// Multi-group link keeper: how often a node checks that each subscribed
-  /// extra group still has co-subscribed overlay neighbors, requesting one
-  /// link per sparse group per check. Keeps every per-group subgraph
-  /// connected while node-global overlay maintenance churns links.
-  SimTime group_link_period = 2.0;
-  /// Minimum co-subscribed neighbors per extra group before the keeper asks
-  /// for more.
-  std::size_t group_min_neighbors = 2;
 
   /// Global landmark node ids used for triangulation estimates.
   std::vector<NodeId> landmarks;

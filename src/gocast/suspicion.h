@@ -25,8 +25,8 @@ struct SuspicionLedger {
   };
 
   /// Per-neighbor contribution ledger for clique-aware eviction
-  /// (DefenseParams::cover_detection). Tracks, inside the current
-  /// cover_window, what the neighbor volunteered (digest entries + tree
+  /// (DefenseProfile::kFull). Tracks, inside the current cover window
+  /// (kCoverWindow), what the neighbor volunteered (digest entries + tree
   /// pushes) versus merely served on demand (pull answers), plus the strike
   /// count across windows. Unlike `scores`, strikes survive answered audits:
   /// an audit answer proves liveness, not contribution, and wiping cover

@@ -10,6 +10,11 @@
 
 namespace gocast::core {
 
+namespace {
+/// Members seeded into each node's partial view at start.
+constexpr std::size_t kInitialViewSize = 64;
+}  // namespace
+
 std::shared_ptr<const net::LatencyModel> default_latency_model(
     std::uint64_t seed, std::size_t sites) {
   static std::mutex mutex;
@@ -64,10 +69,10 @@ void System::init_sharding() {
     site_shard[s] = static_cast<std::uint32_t>(s * shards / sites);
   }
   const SimTime lookahead = latency_->min_cross_partition_one_way(site_shard);
-  if (!(lookahead >= config_.pdes_lookahead_floor) || lookahead == kNever) {
+  if (!(lookahead >= kPdesLookaheadFloor) || lookahead == kNever) {
     GOCAST_WARN("minimum cross-partition latency "
                 << lookahead << "s is below the lookahead floor "
-                << config_.pdes_lookahead_floor
+                << kPdesLookaheadFloor
                 << "s; falling back to the serial engine");
     return;
   }
@@ -188,7 +193,7 @@ void System::start() {
   // are hoisted out of the node loop: clearing keeps their capacity, so the
   // seeding pass allocates O(view_seed) once instead of O(n) times (the
   // draws are identical either way).
-  std::size_t view_seed = std::min(config_.initial_view_size, n - 1);
+  std::size_t view_seed = std::min(kInitialViewSize, n - 1);
   std::vector<membership::MemberEntry> seed;
   seed.reserve(view_seed);
   std::unordered_set<NodeId> chosen;

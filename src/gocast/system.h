@@ -19,6 +19,11 @@
 
 namespace gocast::core {
 
+/// Smallest usable PDES lookahead in seconds. Below it, windows would be so
+/// narrow that barrier overhead swamps any parallelism (degenerate
+/// topologies like RingLatencyModel with tiny arcs, or single-site maps).
+inline constexpr SimTime kPdesLookaheadFloor = 0.0008;
+
 struct SystemConfig {
   std::size_t node_count = 64;
   GoCastConfig node;  ///< per-node configuration (landmarks filled in by System)
@@ -31,8 +36,6 @@ struct SystemConfig {
   /// the initial average degree is C_degree).
   std::size_t bootstrap_links_per_node = 3;
   std::size_t landmark_count = 8;
-  /// Members seeded into each node's partial view at start.
-  std::size_t initial_view_size = 64;
 
   /// Capacity-aware degrees (the paper: "tuning node degree according to
   /// node capacity can be accommodated in our protocol"): per-node
@@ -48,14 +51,11 @@ struct SystemConfig {
   /// (by site) across this many engines synchronized in lookahead windows.
   /// 1 — the default — is the classic serial engine, the exact historical
   /// code path. More shards require a latency model whose minimum
-  /// cross-partition one-way latency clears pdes_lookahead_floor; otherwise
-  /// the system warns and falls back to 1. Unsupported combinations
-  /// (multi-group, trace sinks, site-pair recording) also fall back.
+  /// cross-partition one-way latency clears kPdesLookaheadFloor; otherwise
+  /// the system warns and falls back to 1. Multi-group topologies, site-pair
+  /// recording, 2^20 or more nodes and single-site latency models also fall
+  /// back (all decided in System::init_sharding).
   std::size_t shard_count = 1;
-  /// Smallest usable lookahead in seconds. Below it, windows would be so
-  /// narrow that barrier overhead swamps any parallelism (degenerate
-  /// topologies like RingLatencyModel with tiny arcs, or single-site maps).
-  SimTime pdes_lookahead_floor = 0.0008;
   /// Debug/test knob: run shard windows on the calling thread instead of the
   /// worker pool. Results are identical by construction.
   bool pdes_serial = false;

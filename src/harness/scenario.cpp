@@ -33,6 +33,9 @@ namespace {
 
 constexpr std::size_t kCurvePoints = 41;
 
+/// Settle time between the post-warmup failure and the first injection.
+constexpr SimTime kPostFailureSettle = 0.5;
+
 /// Drives the shared run phases against either system facade. When
 /// `excluded_sources` is non-null, traffic injection re-rolls sources that
 /// appear in that (sorted) list — it may fill in mid-run, so membership is
@@ -72,7 +75,7 @@ ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
     if constexpr (requires { system.freeze_all(); }) {
       if (config.freeze_after_failure) system.freeze_all();
     }
-    system.run_for(config.post_failure_settle);
+    system.run_for(kPostFailureSettle);
   }
 
   tracker.set_recording(true);

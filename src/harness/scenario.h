@@ -49,8 +49,6 @@ struct ScenarioConfig {
   double fail_fraction = 0.0;
   /// Fig 3(b): freeze all repair after the failure.
   bool freeze_after_failure = true;
-  /// Settle time between failure and first injection.
-  SimTime post_failure_settle = 0.5;
 
   /// Time to keep simulating after the last injection.
   SimTime drain = 30.0;
@@ -93,8 +91,8 @@ struct ScenarioConfig {
   bool check_invariants = false;
 
   /// Protocol-level defenses against adversarial neighbors (DESIGN.md §9).
-  /// All off by default; GoCast-family protocols only.
-  core::DefenseParams defense;
+  /// GoCast-family protocols only.
+  core::DefenseProfile defense = core::DefenseProfile::kOff;
 
   /// Global per-message loss probability active for the whole run (0 = no
   /// loss). Unlike a `loss` fault event this applies from t=0.

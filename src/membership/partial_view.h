@@ -29,6 +29,10 @@
 
 namespace gocast::membership {
 
+/// Join-path candidate diversity (DefenseProfile::kFull): the new-entry
+/// budget per advertiser per message passed to PartialView::integrate_from.
+inline constexpr std::size_t kMaxNewPerSource = 8;
+
 class PartialView {
  public:
   /// `store` is the deployment-wide landmark interning store; when null the
@@ -65,10 +69,9 @@ class PartialView {
   void integrate_from(NodeId from, std::span<const MemberEntry> entries,
                       std::size_t max_new = 0);
 
-  /// Turns on multi-source corroboration tracking
-  /// (DefenseParams::corroborate_candidates). Off by default: with tracking
-  /// off, corroborated() is unconditionally true and integrate_from keeps
-  /// no side table.
+  /// Turns on multi-source corroboration tracking (DefenseProfile::kFull).
+  /// Off by default: with tracking off, corroborated() is unconditionally
+  /// true and integrate_from keeps no side table.
   void enable_corroboration() { corroborate_ = true; }
 
   /// True when `id` was vouched for by two distinct advertisers, was seeded

@@ -351,7 +351,6 @@ void Network::deliver(NodeId from, NodeId to, const MessagePtr& msg) {
   if (trace_ != nullptr) {
     trace_->on_drop(engine_.now(), from, to, *msg, DropReason::kDeadReceiver);
   }
-  if (!config_.notify_send_failures) return;
   // The reset notification takes another one-way trip back.
   auto notify = [this, from, to, msg] {
     NodeRecord& s = nodes_[from];

@@ -33,9 +33,6 @@ struct NetworkConfig {
   /// to exercise gossip recovery.
   double loss_probability = 0.0;
 
-  /// Whether senders receive handle_send_failure for messages to dead nodes.
-  bool notify_send_failures = true;
-
   /// Collect per site-pair byte counts for underlay link-stress analysis.
   bool record_site_pairs = false;
 
@@ -84,7 +81,7 @@ class Network {
 
   /// Sends `msg` from `from` to `to`. Drops silently (with accounting) when
   /// the sender is dead; notifies the sender after one RTT when the receiver
-  /// is dead and notify_send_failures is set.
+  /// is dead.
   void send(NodeId from, NodeId to, MessagePtr msg);
 
   /// Fan-out: sends `msg` from `from` to every id in targets[0..count) except

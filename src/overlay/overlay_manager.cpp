@@ -9,6 +9,19 @@
 
 namespace gocast::overlay {
 
+namespace {
+
+/// Acceptance cap (C2): a link request is accepted while D < C + slack.
+constexpr int kDegreeSlack = 5;
+/// Adaptive maintenance: multiplier applied to the period after each quiet
+/// cycle.
+constexpr double kMaintenanceBackoff = 1.25;
+/// Neighbors silent longer than this get a keepalive probe (refreshes the
+/// degree cache and detects dead peers even without gossip traffic).
+constexpr SimTime kKeepaliveInterval = 1.0;
+
+}  // namespace
+
 template <runtime::Context RT>
 OverlayManagerT<RT>::OverlayManagerT(NodeId self, RT rt,
                                      membership::PartialView& view,
@@ -28,7 +41,6 @@ OverlayManagerT<RT>::OverlayManagerT(NodeId self, RT rt,
   GOCAST_ASSERT(params_.replace_floor_offset >= 0);
   GOCAST_ASSERT(params_.drop_slack >= 1);
   GOCAST_ASSERT(params_.maintenance_period_max >= params_.maintenance_period);
-  GOCAST_ASSERT(params_.maintenance_backoff >= 1.0);
   // Flat tables: size once so steady-state maintenance never rehashes.
   table_.reserve(static_cast<std::size_t>(params_.target_degree()) * 2 + 8);
   pending_adds_.reserve(16);
@@ -104,7 +116,7 @@ void OverlayManagerT<RT>::on_maintenance() {
     std::uint64_t changes = links_added_ + links_dropped_;
     if (changes == last_cycle_changes_) {
       maintenance_timer_.set_period(
-          std::min(maintenance_timer_.period() * params_.maintenance_backoff,
+          std::min(maintenance_timer_.period() * kMaintenanceBackoff,
                    params_.maintenance_period_max));
     } else {
       maintenance_timer_.set_period(params_.maintenance_period);
@@ -120,7 +132,7 @@ void OverlayManagerT<RT>::keepalive_check() {
   // layers are quiet. At most one probe per maintenance cycle.
   SimTime now = rt_.now();
   NodeId stalest = kInvalidNode;
-  SimTime oldest = now - params_.keepalive_interval;
+  SimTime oldest = now - kKeepaliveInterval;
   for (const auto& [peer, info] : table_.raw()) {
     if (info.last_heard < oldest) {
       oldest = info.last_heard;
@@ -346,7 +358,7 @@ void OverlayManagerT<RT>::build_initial_measure_queue() {
 template <runtime::Context RT>
 bool OverlayManagerT<RT>::eligible_candidate(NodeId id) const {
   // corroborated() is unconditionally true unless the view was switched into
-  // corroboration tracking (DefenseParams::corroborate_candidates): then a
+  // corroboration tracking (DefenseProfile::kFull): then a
   // member vouched for by only one advertiser — the eclipse flood pattern —
   // should not become an overlay link while a second, distinct source has
   // not confirmed it. Liveness floor: a node with fewer than two links has
@@ -444,12 +456,11 @@ void OverlayManagerT<RT>::on_neighbor_request(NodeId from,
 
   bool accept = false;
   if (msg.link == LinkKind::kRandom) {
-    accept = table_.rand_degree() <
-             params_.target_rand_degree + params_.degree_slack;
+    accept = table_.rand_degree() < params_.target_rand_degree + kDegreeSlack;
   } else {
     const int c_near = params_.target_near_degree;
     // C2: our nearby degree must not be too high.
-    bool c2 = table_.near_degree() < c_near + params_.degree_slack;
+    bool c2 = table_.near_degree() < c_near + kDegreeSlack;
     // C3: once we have enough nearby neighbors, only accept links better
     // than our current worst nearby link.
     bool c3 = true;

@@ -41,7 +41,6 @@ namespace gocast::overlay {
 struct OverlayParams {
   int target_rand_degree = 1;  ///< C_rand
   int target_near_degree = 5;  ///< C_near
-  int degree_slack = 5;        ///< acceptance cap: accept while D < C + slack
   SimTime maintenance_period = 0.1;  ///< r seconds
   /// C4: adopt Q over U only if RTT(X,Q) <= replace_ratio * RTT(X,U).
   /// 1.0 accepts any improvement — the paper rejects that as "futile minor
@@ -66,13 +65,8 @@ struct OverlayParams {
   /// to maintenance_period on any link change.
   bool adaptive_maintenance = false;
   SimTime maintenance_period_max = 1.0;
-  /// Multiplier applied to the period after each quiet cycle.
-  double maintenance_backoff = 1.25;
   /// Handshakes and probes outstanding longer than this are abandoned.
   SimTime pending_timeout = 3.0;
-  /// Neighbors silent longer than this get a keepalive probe (refreshes the
-  /// degree cache and detects dead peers even without gossip traffic).
-  SimTime keepalive_interval = 1.0;
   /// False for pure-random overlays (the "random overlay" baseline):
   /// disables the nearby maintenance sub-protocols entirely.
   bool maintain_nearby = true;

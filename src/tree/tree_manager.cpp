@@ -10,6 +10,11 @@ namespace gocast::tree {
 
 namespace {
 constexpr double kRelaxEpsilon = 1e-9;
+/// A root neighbor promotes itself after this many silent heartbeat periods.
+constexpr double kNeighborTakeoverPeriods = 2.5;
+/// Other nodes wait longer, so a live root neighbor wins the race.
+constexpr double kDistantTakeoverPeriods = 4.5;
+static_assert(kNeighborTakeoverPeriods < kDistantTakeoverPeriods);
 }  // namespace
 
 template <runtime::Context RT>
@@ -24,8 +29,6 @@ TreeManagerT<RT>::TreeManagerT(NodeId self, RT rt,
       root_timer_(rt_, params.heartbeat_period, [this] { flood_heartbeat(); }),
       watchdog_(rt_, params.heartbeat_period, [this] { watchdog_check(); }) {
   GOCAST_ASSERT(params_.heartbeat_period > 0.0);
-  GOCAST_ASSERT(params_.neighbor_takeover_periods <
-                params_.distant_takeover_periods);
 }
 
 template <runtime::Context RT>
@@ -131,8 +134,8 @@ void TreeManagerT<RT>::watchdog_check() {
   SimTime now = rt_.now();
   double silent = now - last_heartbeat_;
   double threshold = overlay_.is_neighbor(epoch_.root)
-                         ? params_.neighbor_takeover_periods
-                         : params_.distant_takeover_periods;
+                         ? kNeighborTakeoverPeriods
+                         : kDistantTakeoverPeriods;
   if (silent > threshold * params_.heartbeat_period) {
     GOCAST_DEBUG("node " << self_ << " promoting self to root, old root "
                          << epoch_.root << " silent for " << silent << "s");

@@ -30,10 +30,6 @@ namespace gocast::tree {
 
 struct TreeParams {
   SimTime heartbeat_period = 15.0;
-  /// A root neighbor promotes itself after this many silent periods.
-  double neighbor_takeover_periods = 2.5;
-  /// Other nodes wait longer, so a live root neighbor wins the race.
-  double distant_takeover_periods = 4.5;
   bool enabled = true;
 };
 

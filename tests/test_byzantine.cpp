@@ -27,19 +27,6 @@ FaultBehavior liar_behavior() {
   return b;
 }
 
-DefenseParams all_defenses() {
-  DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // Behavior semantics at the node level
 // ---------------------------------------------------------------------------
@@ -182,7 +169,7 @@ TEST(Defenses, EvictMuteForwardersUnderTraffic) {
   config.exclude_adversaries = true;
   config.drain = 10.0;
   config.fault_spec = "70:mute_forwarder:frac=0.125";
-  config.defense = all_defenses();
+  config.defense = DefenseProfile::kBase;
 
   harness::ScenarioResult result = harness::run_scenario(config);
   // Challenge pulls catch the mutes: honest neighbors evict real adversaries.
@@ -204,11 +191,41 @@ TEST(Defenses, HonestRunAtZeroLossHasNoEvictions) {
   config.message_rate = 50.0;
   config.payload_bytes = 256;
   config.drain = 10.0;
-  config.defense = all_defenses();
+  config.defense = DefenseProfile::kBase;
 
   harness::ScenarioResult result = harness::run_scenario(config);
   EXPECT_EQ(result.suspects_evicted, 0u);
   EXPECT_GE(result.report.delivered_fraction, 0.999);
+}
+
+TEST(DefenseGoldens, FullDefensesLossyMuteScenarioIsByteIdentical) {
+  // Pinned golden for a defended run: every defense armed, 3% loss, mute
+  // forwarders plus a colluding clique. The undefended 512-node golden
+  // cannot see a change to the suspicion, audit, cover-detection or
+  // join-path code; any drift here means defended behavior moved.
+  harness::ScenarioConfig config;
+  config.protocol = harness::Protocol::kGoCast;
+  config.node_count = 128;
+  config.seed = 5;
+  config.warmup = 60.0;
+  config.message_count = 900;
+  config.message_rate = 20.0;
+  config.payload_bytes = 256;
+  config.loss_probability = 0.03;
+  config.drain = 10.0;
+  config.fault_spec = "40:mute_forwarder:frac=0.0625; 40:clique:count=8";
+  config.defense = DefenseProfile::kFull;
+
+  harness::ScenarioResult r = harness::run_scenario(config);
+  EXPECT_EQ(r.deliveries, 115093u);
+  EXPECT_EQ(r.duplicates, 65899u);
+  EXPECT_EQ(r.suspects_evicted, 254u);
+  EXPECT_EQ(r.cover_evictions, 20u);
+  EXPECT_EQ(r.delivery_checksum, 1734523406083856500ULL);
+  EXPECT_EQ(r.traffic.total_sent().messages, 680569u);
+  EXPECT_EQ(r.traffic.total_sent().bytes, 99660556u);
+  EXPECT_EQ(r.traffic.delivered(), 659939u);
+  EXPECT_EQ(r.traffic.lost(), 20309u);
 }
 
 // ---------------------------------------------------------------------------

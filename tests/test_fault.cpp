@@ -345,7 +345,7 @@ TEST(InvariantChecker, HealthyRunHasNoViolations) {
   InvariantChecker checker(system);
   checker.start();
   system.start();
-  system.run_until(150.0);  // well past settle_after
+  system.run_until(150.0);  // well past the 60 s settle time
   EXPECT_GT(checker.sweeps(), 0u);
   for (const InvariantViolation& v : checker.violations()) {
     ADD_FAILURE() << "unexpected violation at t=" << v.at << ": " << v.what;
@@ -403,8 +403,8 @@ TEST(InvariantChecker, DetectsStaleDeadNeighbor) {
   // heartbeat handler, which otherwise forwards over every overlay link;
   // stop halts its timers), and plant a link to the dead peer on it: the
   // inert node never sends to the dead peer, so no TCP reset arrives and
-  // the stale link persists — which the checker must flag after
-  // dead_neighbor_timeout.
+  // the stale link persists — which the checker must flag after its 10 s
+  // dead-neighbor timeout.
   NodeId observer = 5;
   NodeId dead = 6;
   system.node(dead).kill();

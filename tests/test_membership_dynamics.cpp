@@ -395,22 +395,6 @@ TEST(MembershipDeterminism, CliqueSelectionIsSeedDeterministic) {
 // Clique-aware eviction end to end
 // ---------------------------------------------------------------------------
 
-core::DefenseParams full_defenses() {
-  core::DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;
-  d.cover_detection = true;
-  d.join_diversity = true;
-  d.corroborate_candidates = true;
-  return d;
-}
-
 TEST(CliqueDefense, CoverDetectionEvictsTheClique) {
   harness::ScenarioConfig config;
   config.node_count = 96;
@@ -420,7 +404,7 @@ TEST(CliqueDefense, CoverDetectionEvictsTheClique) {
   config.message_rate = 20.0;
   config.drain = 20.0;
   config.fault_spec = "40:clique:count=8";
-  config.defense = full_defenses();
+  config.defense = core::DefenseProfile::kFull;
   config.exclude_adversaries = true;
   config.coverage_probe_at = config.warmup + 45.0;
   harness::ScenarioResult result = harness::run_scenario(config);
@@ -449,7 +433,7 @@ TEST(CliqueDefense, HonestLosslessRunHasNoCoverEvictions) {
   config.message_count = 400;
   config.message_rate = 20.0;
   config.drain = 15.0;
-  config.defense = full_defenses();
+  config.defense = core::DefenseProfile::kFull;
   harness::ScenarioResult result = harness::run_scenario(config);
   // No adversaries, no loss: the contribution ledger never mistakes an
   // honest neighbor for a free-rider.

@@ -166,7 +166,7 @@ TEST(ShardedSystem, KingModelShardsEngage) {
   core::System system(config);
   ASSERT_TRUE(system.sharded());
   EXPECT_EQ(system.shard_count(), 4u);
-  EXPECT_GE(system.pdes_lookahead(), config.pdes_lookahead_floor);
+  EXPECT_GE(system.pdes_lookahead(), core::kPdesLookaheadFloor);
 }
 
 // -- full-protocol shard invariance --

@@ -224,7 +224,7 @@ fi
 # runtime (see DESIGN.md §11), never acceptable noise.
 if [[ "${1:-}" == "pdes-smoke" ]]; then
   cmake -B "${root}/build" -S "${root}"
-  cmake --build "${root}/build" -j "${jobs}" --target gocast_sim
+  cmake --build "${root}/build" -j "${jobs}" --target gocast_sim_cli
   bin="${root}/build/tools/gocast_sim"
   sim_args=(--nodes 2048 --messages 60 --warmup 60 --drain 10)
   checksum() { # $1 = shard count
