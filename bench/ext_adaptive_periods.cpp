@@ -42,7 +42,7 @@ Result run(std::size_t nodes, bool adaptive) {
   // Traffic resumes.
   tracker.set_recording(true);
   for (int i = 0; i < 20; ++i) {
-    system.engine().schedule_at(system.now() + i * 0.05, [&system] {
+    system.schedule_control(system.now() + i * 0.05, [&system] {
       system.node(system.random_alive_node()).multicast(512);
     });
   }

@@ -26,7 +26,6 @@
 #include "harness/args.h"
 #include "harness/runner.h"
 #include "harness/table.h"
-#include "sim/engine.h"
 
 int main(int argc, char** argv) {
   using namespace gocast;
@@ -95,58 +94,46 @@ int main(int argc, char** argv) {
         // Churn + traffic phase: 60 s of joins/leaves at churn_rate events/s
         // with 20 msg/s multicast. In session mode each join draws its node's
         // lifetime from the distribution (the leave process); otherwise
-        // events alternate join/leave. Both schedules enter as batches.
+        // events alternate join/leave. Both schedules run as controls.
         SimTime phase_start = system.now();
         fault::SessionModel sessions(session_params,
                                      Rng(config.seed).fork("sessions"));
         const bool trace_driven = !session_dist.empty();
-        std::vector<sim::Engine::BatchEvent> schedule;
         if (churn_rate > 0.0) {
           std::size_t events = static_cast<std::size_t>(phase * churn_rate);
-          schedule.reserve(events);
           for (std::size_t e = 0; e < events; ++e) {
             SimTime at = phase_start + static_cast<double>(e) / churn_rate;
             if (trace_driven) {
               // Every event is an arrival; the departure is scheduled from
               // the sampled session length (kill only if still alive then).
-              schedule.push_back({at, [&system, &sessions] {
-                                    NodeId id = system.spawn_next();
-                                    if (id == kInvalidNode) return;
-                                    double life = sessions.sample();
-                                    system.schedule_control(
-                                        system.now() + life, [&system, id] {
-                                          if (system.network().alive(id)) {
-                                            system.node(id).kill();
-                                          }
-                                        });
-                                  }});
+              system.schedule_control(at, [&system, &sessions] {
+                NodeId id = system.spawn_next();
+                if (id == kInvalidNode) return;
+                double life = sessions.sample();
+                system.schedule_control(system.now() + life, [&system, id] {
+                  if (system.network().alive(id)) system.node(id).kill();
+                });
+              });
             } else {
               bool join = e % 2 == 0;
-              schedule.push_back({at, [&system, join] {
-                                    if (join) {
-                                      (void)system.spawn_next();
-                                    } else if (system.network().alive_count() >
-                                               8) {
-                                      system.node(system.random_alive_node())
-                                          .kill();
-                                    }
-                                  }});
+              system.schedule_control(at, [&system, join] {
+                if (join) {
+                  (void)system.spawn_next();
+                } else if (system.network().alive_count() > 8) {
+                  system.node(system.random_alive_node()).kill();
+                }
+              });
             }
           }
-          system.engine().schedule_batch(schedule);
-          schedule.clear();
         }
         churn_tracker.set_recording(true);
         std::size_t messages = static_cast<std::size_t>(phase * 20.0);
-        schedule.reserve(messages);
         for (std::size_t i = 0; i < messages; ++i) {
-          schedule.push_back({phase_start + static_cast<double>(i) / 20.0,
-                              [&system] {
-                                system.node(system.random_alive_node())
-                                    .multicast(512);
-                              }});
+          system.schedule_control(
+              phase_start + static_cast<double>(i) / 20.0, [&system] {
+                system.node(system.random_alive_node()).multicast(512);
+              });
         }
-        system.engine().schedule_batch(schedule);
         system.run_until(phase_start + phase + settle_gap);
 
         // Post-settle phase: churn is over, the overlay has had settle_gap
@@ -156,18 +143,14 @@ int main(int argc, char** argv) {
         system.set_delivery_hook(settle_tracker.hook());
         settle_tracker.set_recording(true);
         SimTime settle_start = system.now();
-        schedule.clear();
         std::size_t settle_messages =
             static_cast<std::size_t>(settle_phase * 20.0);
-        schedule.reserve(settle_messages);
         for (std::size_t i = 0; i < settle_messages; ++i) {
-          schedule.push_back({settle_start + static_cast<double>(i) / 20.0,
-                              [&system] {
-                                system.node(system.random_alive_node())
-                                    .multicast(512);
-                              }});
+          system.schedule_control(
+              settle_start + static_cast<double>(i) / 20.0, [&system] {
+                system.node(system.random_alive_node()).multicast(512);
+              });
         }
-        system.engine().schedule_batch(schedule);
         system.run_until(settle_start + settle_phase + 30.0);
 
         // Survivors: alive now AND alive before the churn phase (they should

@@ -30,7 +30,6 @@
 #include "harness/args.h"
 #include "harness/runner.h"
 #include "harness/table.h"
-#include "sim/engine.h"
 
 int main(int argc, char** argv) {
   using namespace gocast;
@@ -114,21 +113,16 @@ int main(int argc, char** argv) {
       }
     });
 
-    // Both the injection windows and the re-merge probes are admitted as
-    // batches.
-    std::vector<sim::Engine::BatchEvent> schedule;
+    // Both the injection windows and the re-merge probes run as controls.
     auto inject_window = [&](double start) {
       std::size_t messages = static_cast<std::size_t>(window * rate);
-      schedule.clear();
-      schedule.reserve(messages);
       for (std::size_t i = 0; i < messages; ++i) {
-        schedule.push_back({start + static_cast<double>(i) / rate,
-                            [&system] {
-                              system.node(system.random_alive_node())
-                                  .multicast(512);
-                            }});
+        system.schedule_control(start + static_cast<double>(i) / rate,
+                                [&system] {
+                                  system.node(system.random_alive_node())
+                                      .multicast(512);
+                                });
       }
-      system.engine().schedule_batch(schedule);
     };
     inject_window(warmup);
     inject_window(during_start);
@@ -137,19 +131,15 @@ int main(int argc, char** argv) {
     // After the heal, probe the overlay once per second until it is a single
     // component again: the re-merge time of the fault model.
     Outcome out;
-    schedule.clear();
-    schedule.reserve(61);
     for (int k = 0; k <= 60; ++k) {
-      schedule.push_back({heal_at + static_cast<double>(k), [&] {
-                            if (out.remerged_at >= 0.0) return;
-                            auto graph = analysis::snapshot_overlay(system);
-                            if (analysis::components(graph).largest_fraction ==
-                                1.0) {
-                              out.remerged_at = system.now();
-                            }
-                          }});
+      system.schedule_control(heal_at + static_cast<double>(k), [&] {
+        if (out.remerged_at >= 0.0) return;
+        auto graph = analysis::snapshot_overlay(system);
+        if (analysis::components(graph).largest_fraction == 1.0) {
+          out.remerged_at = system.now();
+        }
+      });
     }
-    system.engine().schedule_batch(schedule);
 
     system.start();
     system.run_until(sim_end);

@@ -28,29 +28,6 @@ void BM_EngineScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_EngineScheduleBatch(benchmark::State& state) {
-  // Same workload as BM_EngineScheduleAndRun, admitted through
-  // schedule_batch: the delta between the two is the per-event sift_up cost
-  // the batched path saves via Floyd heapify.
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::Engine::BatchEvent> events;
-  for (auto _ : state) {
-    state.PauseTiming();
-    events.clear();
-    events.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      events.push_back({static_cast<double>(i % 97), [] {}});
-    }
-    state.ResumeTiming();
-    sim::Engine engine;
-    engine.schedule_batch(events);
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_EngineScheduleBatch)->Arg(1000)->Arg(10000)->Arg(100000);
-
 void BM_EngineCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

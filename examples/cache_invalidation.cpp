@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   Rng workload(99);
   SimTime start = system.now();
   for (std::size_t i = 0; i < writes; ++i) {
-    system.engine().schedule_at(
+    system.schedule_control(
         start + static_cast<double>(i) / 40.0, [&, i] {
           auto key = static_cast<std::uint32_t>(workload.next_below(keys));
           NodeId writer = system.random_alive_node();

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     SimTime start = system.now();
     std::size_t count = static_cast<std::size_t>(seconds * rate);
     for (std::size_t i = 0; i < count; ++i) {
-      system.engine().schedule_at(
+      system.schedule_control(
           start + static_cast<double>(i) / rate, [&system, &config] {
             // Any management node can publish an event directly.
             system.node(system.random_alive_node())

@@ -53,8 +53,8 @@ class DeliveryTracker {
   /// none failed).
   [[nodiscard]] Report report(const std::vector<NodeId>& live_nodes) const;
 
-  /// Folds another tracker into this one. Sharded runs (DESIGN.md §11) keep
-  /// one tracker per shard — each node's deliveries land in its shard's
+  /// Folds another tracker into this one. Multi-shard runs (DESIGN.md §11)
+  /// keep one tracker per shard — each node's deliveries land in its shard's
   /// tracker, single-writer — and merge them at the end. Node rows must be
   /// disjoint; message sets may overlap (counts are summed).
   void merge_from(const DeliveryTracker& other);

@@ -235,7 +235,8 @@ PushGossipSystem::PushGossipSystem(PushGossipSystemConfig config)
   nodes_.reserve(config_.node_count);
   for (NodeId id = 0; id < config_.node_count; ++id) {
     nodes_.push_back(std::make_unique<PushGossipNode>(
-        id, *network_, config_.node, rng_.fork(static_cast<std::uint64_t>(id))));
+        id, runtime::SimRuntime(*network_, id), config_.node,
+        rng_.fork(static_cast<std::uint64_t>(id))));
   }
 }
 

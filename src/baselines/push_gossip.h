@@ -136,14 +136,22 @@ class PushGossipSystem {
   PushGossipSystem& operator=(const PushGossipSystem&) = delete;
 
   void start();
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] PushGossipNode& node(NodeId id) { return *nodes_.at(id); }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] SimTime now() const { return engine_.now(); }
+  /// The baseline always runs one shard.
+  [[nodiscard]] std::size_t shard_count() const {
+    return engine_.shard_count();
+  }
 
-  void run_for(SimTime duration) { engine_.run_until(engine_.now() + duration); }
+  void run_for(SimTime duration) { run_until(engine_.now() + duration); }
   void run_until(SimTime t) { engine_.run_until(t); }
+  /// Schedules a simulation-global action at absolute time `t`, ahead of
+  /// same-time node events (see core::System::schedule_control).
+  void schedule_control(SimTime t, sim::InlineCallback cb) {
+    engine_.schedule_control(t, std::move(cb));
+  }
   std::vector<NodeId> fail_random_fraction(double fraction);
   [[nodiscard]] NodeId random_alive_node();
   void set_delivery_hook(const core::DeliveryHook& hook);
@@ -152,7 +160,7 @@ class PushGossipSystem {
  private:
   PushGossipSystemConfig config_;
   Rng rng_;
-  sim::Engine engine_;
+  sim::ShardedEngine engine_;
   std::shared_ptr<const net::LatencyModel> latency_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<PushGossipNode>> nodes_;

@@ -41,9 +41,9 @@ void FaultInjector::arm() {
   for (const FaultEvent& event : plan_.events()) {
     GOCAST_ASSERT_MSG(event.at >= system_.now(),
                       "fault event at t=" << event.at << " is in the past");
-    // Control events: on sharded runs (DESIGN.md §11) these fire
-    // single-threaded at a window barrier at the exact scripted time, so
-    // victim selection and the fault log are shard-count-invariant.
+    // Control events (DESIGN.md §11) fire single-threaded at a window
+    // barrier at the exact scripted time, so victim selection and the fault
+    // log are shard-count-invariant.
     system_.schedule_control(event.at, [this, event] { apply(event); });
   }
 }

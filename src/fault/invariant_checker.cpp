@@ -45,19 +45,32 @@ std::uint64_t pack_link(NodeId node, NodeId peer) {
 
 InvariantChecker::InvariantChecker(core::System& system,
                                    InvariantCheckerParams params)
-    : system_(system),
-      params_(params),
-      timer_(system.engine(), kPeriod, [this] { sweep(); }) {}
+    : system_(system), params_(params) {}
 
-void InvariantChecker::start() { timer_.start(); }
+void InvariantChecker::start() {
+  stop();
+  armed_ = std::make_shared<bool>(true);
+  arm(armed_);
+}
 
-void InvariantChecker::stop() { timer_.stop(); }
+void InvariantChecker::stop() {
+  if (armed_ == nullptr) return;
+  *armed_ = false;
+  armed_.reset();
+}
+
+void InvariantChecker::arm(std::shared_ptr<bool> armed) {
+  system_.schedule_control(system_.now() + kPeriod,
+                           [this, armed = std::move(armed)]() mutable {
+                             if (!*armed) return;
+                             arm(std::move(armed));
+                             sweep();
+                           });
+}
 
 void InvariantChecker::check_now() { sweep(); }
 
-void InvariantChecker::note_disturbance() {
-  last_disturbance_ = system_.engine().now();
-}
+void InvariantChecker::note_disturbance() { last_disturbance_ = system_.now(); }
 
 bool InvariantChecker::settled(SimTime now) const {
   return now - last_disturbance_ >= kSettleAfter;
@@ -99,7 +112,7 @@ void InvariantChecker::report_expected(SimTime at, std::string what) {
 
 void InvariantChecker::sweep() {
   ++sweeps_;
-  SimTime now = system_.engine().now();
+  SimTime now = system_.now();
   check_dead_neighbors(now);
   check_store_gc(now);
   // Structural equilibrium checks only once the system had time to settle

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,7 +15,6 @@
 
 #include "common/types.h"
 #include "gocast/system.h"
-#include "sim/timer.h"
 
 namespace gocast::fault {
 
@@ -35,8 +35,12 @@ struct InvariantCheckerParams {
 class InvariantChecker {
  public:
   InvariantChecker(core::System& system, InvariantCheckerParams params = {});
+  ~InvariantChecker() { stop(); }
+  InvariantChecker(const InvariantChecker&) = delete;
+  InvariantChecker& operator=(const InvariantChecker&) = delete;
 
-  /// Starts periodic sweeps on the system's engine.
+  /// Starts periodic sweeps. Each sweep is a system control (it reads every
+  /// node, so it runs at a window barrier) that schedules the next one.
   void start();
   void stop();
 
@@ -80,6 +84,8 @@ class InvariantChecker {
 
  private:
   void sweep();
+  /// Schedules the sweep one period from now, live while `armed` holds.
+  void arm(std::shared_ptr<bool> armed);
   void check_degrees(SimTime now);
   void check_dead_neighbors(SimTime now);
   void check_tree_and_connectivity(SimTime now);
@@ -94,7 +100,9 @@ class InvariantChecker {
 
   core::System& system_;
   InvariantCheckerParams params_;
-  sim::PeriodicTimer timer_;
+  /// Shared with the pending sweep control; stop() clears it, so a control
+  /// that outlives the sweep series (or the checker) fires as a no-op.
+  std::shared_ptr<bool> armed_;
 
   SimTime last_disturbance_ = 0.0;
   bool partition_active_ = false;

@@ -68,7 +68,7 @@ struct DigestEntry {
 /// The gossip: IDs of messages received or started since the last gossip to
 /// this neighbor (minus those heard from it), plus piggybacked membership.
 struct GossipDigestMsg final : net::Message {
-  /// Pool-backed construction (Network::make passes the arena): the digest
+  /// Pool-backed construction (Network::make_for passes the arena): the digest
   /// and member payload vectors are carved from the message pool, so a
   /// steady-state gossip performs no global-allocator calls at all.
   GossipDigestMsg(const std::shared_ptr<net::MessageArena>& arena,
@@ -181,7 +181,7 @@ struct GroupSection {
 /// stays group-agnostic — the membership plane is shared. Wire: this type is
 /// version-2 only (it does not exist in the v1 grammar).
 struct GroupedGossipMsg final : net::Message {
-  /// Pool-backed construction (Network::make passes the arena).
+  /// Pool-backed construction (Network::make_for passes the arena).
   GroupedGossipMsg(const std::shared_ptr<net::MessageArena>& arena,
                    const std::vector<GroupSection>& sections_in,
                    const std::vector<DigestEntry>& entries_in,

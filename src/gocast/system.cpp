@@ -3,6 +3,8 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "common/assert.h"
@@ -34,63 +36,45 @@ std::shared_ptr<const net::LatencyModel> default_latency_model(
   return model;
 }
 
-void System::init_sharding() {
-  std::size_t shards = config_.shard_count;
-  if (shards <= 1) return;
-  if (config_.groups.group_count > 1) {
-    GOCAST_WARN("shard_count " << shards
-                               << " unsupported with multi-group topologies; "
-                                  "falling back to the serial engine");
-    return;
-  }
-  if (config_.net.record_site_pairs) {
-    GOCAST_WARN("shard_count " << shards
-                               << " unsupported with site-pair accounting; "
-                                  "falling back to the serial engine");
-    return;
-  }
-  if (config_.node_count >= (std::size_t{1} << 20)) {
-    GOCAST_WARN("shard_count " << shards
-                               << " unsupported at >= 2^20 nodes (ordering-key "
-                                  "width); falling back to the serial engine");
-    return;
-  }
+std::vector<std::uint32_t> System::init_sharding() {
   const std::size_t sites = latency_->site_count();
-  shards = std::min(shards, sites);
-  if (shards <= 1) {
-    GOCAST_WARN("single-site topology cannot be sharded; "
-                "falling back to the serial engine");
-    return;
-  }
+  const std::size_t shards = std::min(config_.shard_count, sites);
   // Contiguous site ranges: site s -> shard s*K/S. Nodes are placed on sites
   // round-robin, so the shards stay balanced in node count as well.
   std::vector<std::uint32_t> site_shard(sites);
   for (std::size_t s = 0; s < sites; ++s) {
     site_shard[s] = static_cast<std::uint32_t>(s * shards / sites);
   }
-  const SimTime lookahead = latency_->min_cross_partition_one_way(site_shard);
-  if (!(lookahead >= kPdesLookaheadFloor) || lookahead == kNever) {
-    GOCAST_WARN("minimum cross-partition latency "
-                << lookahead << "s is below the lookahead floor "
-                << kPdesLookaheadFloor
-                << "s; falling back to the serial engine");
-    return;
+  SimTime lookahead = kNever;
+  // Why the requested layout cannot run; empty when it can.
+  auto unsupported = [&]() -> std::string {
+    if (config_.groups.group_count > 1) return "with multi-group topologies";
+    if (config_.net.record_site_pairs) return "with site-pair accounting";
+    if (shards <= 1) return "on a single-site topology";
+    lookahead = latency_->min_cross_partition_one_way(site_shard);
+    if (!(lookahead >= kPdesLookaheadFloor) || lookahead == kNever) {
+      std::ostringstream why;
+      why << "with a minimum cross-partition latency of " << lookahead
+          << "s (below the lookahead floor " << kPdesLookaheadFloor << "s)";
+      return why.str();
+    }
+    return {};
+  };
+  if (config_.shard_count > 1) {
+    const std::string why = unsupported();
+    if (why.empty()) {
+      engine_ = std::make_unique<sim::ShardedEngine>(
+          sim::ShardedEngine::Config{shards, lookahead, config_.pdes_serial});
+      GOCAST_INFO("sharded PDES: "
+                  << shards << " shards, lookahead " << lookahead * 1000.0
+                  << " ms" << (config_.pdes_serial ? " (serial windows)" : ""));
+      return site_shard;
+    }
+    GOCAST_WARN("shard_count " << config_.shard_count << " unsupported "
+                               << why << "; running one shard");
   }
-  sharded_ = std::make_unique<sim::ShardedEngine>(sim::ShardedEngine::Config{
-      shards, lookahead, config_.pdes_serial});
-  std::vector<std::uint16_t> shard_of(config_.node_count);
-  for (NodeId id = 0; id < config_.node_count; ++id) {
-    shard_of[id] = static_cast<std::uint16_t>(site_shard[network_->site_of(id)]);
-  }
-  // Stateless draw seed derived directly from the run seed (not from rng_:
-  // the system's own stream must keep consuming exactly as it does
-  // unsharded, so barrier-context draws stay byte-identical).
-  std::uint64_t state = config_.seed ^ 0x70646573'64726177ULL;  // "pdesdraw"
-  network_->enable_sharding(*sharded_, std::move(shard_of), splitmix64(state));
-  GOCAST_INFO("sharded PDES: " << shards << " shards, lookahead "
-                               << lookahead * 1000.0 << " ms"
-                               << (config_.pdes_serial ? " (serial windows)"
-                                                       : ""));
+  engine_ = std::make_unique<sim::ShardedEngine>();
+  return std::vector<std::uint32_t>(sites, 0);
 }
 
 System::System(SystemConfig config)
@@ -100,27 +84,29 @@ System::System(SystemConfig config)
   latency_ = config_.latency != nullptr
                  ? config_.latency
                  : default_latency_model(config_.seed);
-  network_ = std::make_unique<net::Network>(engine_, latency_, config_.net,
+  const std::vector<std::uint32_t> site_shard = init_sharding();
+  network_ = std::make_unique<net::Network>(*engine_, latency_, config_.net,
                                             rng_.fork("network"));
   network_->add_nodes_round_robin(config_.node_count);
-  init_sharding();
+  std::vector<std::uint16_t> shard_of(config_.node_count);
+  for (NodeId id = 0; id < config_.node_count; ++id) {
+    shard_of[id] =
+        static_cast<std::uint16_t>(site_shard[network_->site_of(id)]);
+  }
+  // Stateless draw seed derived directly from the run seed (not from rng_:
+  // the system's own stream must consume exactly as it does with one shard,
+  // so barrier-context draws stay byte-identical).
+  std::uint64_t state = config_.seed ^ 0x70646573'64726177ULL;  // "pdesdraw"
+  network_->assign_shards(std::move(shard_of), splitmix64(state));
 
-  // One landmark-interning store for the whole deployment — sharing across
-  // views is what collapses the duplicated member records (a node known to v
-  // views costs one 32-byte vector instead of v of them). Stored back into
-  // config_ so memory_report() can reach it. Sharded runs use one store per
-  // shard instead (the intern tables are single-threaded; landmark vectors
-  // cross shards by value on the wire, never as handles).
-  if (sharded_ == nullptr) {
-    if (config_.node.landmark_store == nullptr) {
-      config_.node.landmark_store =
-          std::make_shared<membership::LandmarkStore>();
-    }
-  } else {
-    shard_stores_.resize(sharded_->shard_count());
-    for (auto& store : shard_stores_) {
-      store = std::make_shared<membership::LandmarkStore>();
-    }
+  // One landmark-interning store per shard — sharing across views is what
+  // collapses the duplicated member records (a node known to v views costs
+  // one 32-byte vector instead of v of them). The intern tables are
+  // single-threaded; landmark vectors cross shards by value on the wire,
+  // never as handles.
+  shard_stores_.resize(engine_->shard_count());
+  for (auto& store : shard_stores_) {
+    store = std::make_shared<membership::LandmarkStore>();
   }
   // Landmarks: the first k nodes (the bootstrap set a deployment would use).
   GoCastConfig node_config = config_.node;
@@ -134,30 +120,22 @@ System::System(SystemConfig config)
 
   GOCAST_ASSERT(config_.deferred_nodes < config_.node_count - 1);
 
-  // Uniform deployments share one immutable config across all nodes (one per
-  // shard when sharded — the copies differ only in landmark_store);
-  // capacity-aware ones need a per-node copy for the scaled degree target.
-  std::shared_ptr<const GoCastConfig> shared_config;
+  // Uniform deployments share one immutable config per shard (the copies
+  // differ only in landmark_store); capacity-aware ones need a per-node copy
+  // for the scaled degree target.
   std::vector<std::shared_ptr<const GoCastConfig>> shard_configs;
   if (!config_.capacity_of) {
-    if (sharded_ == nullptr) {
-      shared_config = std::make_shared<const GoCastConfig>(node_config);
-    } else {
-      shard_configs.resize(sharded_->shard_count());
-      for (std::size_t k = 0; k < shard_configs.size(); ++k) {
-        GoCastConfig copy = node_config;
-        copy.landmark_store = shard_stores_[k];
-        shard_configs[k] = std::make_shared<const GoCastConfig>(copy);
-      }
+    for (const auto& store : shard_stores_) {
+      GoCastConfig copy = node_config;
+      copy.landmark_store = store;
+      shard_configs.push_back(std::make_shared<const GoCastConfig>(copy));
     }
   }
 
   nodes_.reserve(config_.node_count);
   for (NodeId id = 0; id < config_.node_count; ++id) {
-    std::shared_ptr<const GoCastConfig> this_config =
-        sharded_ != nullptr && !config_.capacity_of
-            ? shard_configs[network_->shard_of(id)]
-            : shared_config;
+    const std::uint16_t shard = network_->shard_of(id);
+    std::shared_ptr<const GoCastConfig> this_config;
     if (config_.capacity_of) {
       // Capacity-aware degrees: scale the nearby target per node.
       double capacity = config_.capacity_of(id);
@@ -166,13 +144,11 @@ System::System(SystemConfig config)
           std::lround(node_config.overlay.target_near_degree * capacity));
       GoCastConfig scaled_config = node_config;
       scaled_config.overlay.target_near_degree = std::max(1, scaled);
-      if (sharded_ != nullptr) {
-        scaled_config.landmark_store = shard_stores_[network_->shard_of(id)];
-      }
+      scaled_config.landmark_store = shard_stores_[shard];
       this_config = std::make_shared<const GoCastConfig>(scaled_config);
+    } else {
+      this_config = shard_configs[shard];
     }
-    // Owner-aware runtimes bind each node to its shard engine; the implicit
-    // Network& conversion keeps the unsharded path byte-identical.
     nodes_.push_back(std::make_unique<GoCastNode>(
         id, runtime::SimRuntime(*network_, id), std::move(this_config),
         rng_.fork_sparse(static_cast<std::uint64_t>(id))));
@@ -371,8 +347,7 @@ NodeId System::spawn_next() {
 
 System::MemoryReport System::memory_report() const {
   MemoryReport report;
-  report.engine_bytes = sharded_ != nullptr ? sharded_->memory_bytes()
-                                            : engine_.memory_bytes();
+  report.engine_bytes = engine_->memory_bytes();
   report.network_bytes = network_->memory_bytes();
   report.node_object_bytes = nodes_.size() * sizeof(GoCastNode);
   std::map<GroupId, std::size_t> per_group;
@@ -395,11 +370,6 @@ System::MemoryReport System::memory_report() const {
     }
   }
   report.group_bytes.assign(per_group.begin(), per_group.end());
-  const auto& store = config_.node.landmark_store;
-  if (store != nullptr) {
-    report.landmark_store_bytes = store->memory_bytes();
-    report.landmark_unique = store->unique_count();
-  }
   for (const auto& shard_store : shard_stores_) {
     report.landmark_store_bytes += shard_store->memory_bytes();
     report.landmark_unique += shard_store->unique_count();

@@ -14,7 +14,6 @@
 #include "membership/landmark_store.h"
 #include "net/latency_model.h"
 #include "net/network.h"
-#include "sim/engine.h"
 #include "sim/sharded_engine.h"
 
 namespace gocast::core {
@@ -49,12 +48,13 @@ struct SystemConfig {
 
   /// Sharded conservative-PDES execution (DESIGN.md §11): partition nodes
   /// (by site) across this many engines synchronized in lookahead windows.
-  /// 1 — the default — is the classic serial engine, the exact historical
-  /// code path. More shards require a latency model whose minimum
-  /// cross-partition one-way latency clears kPdesLookaheadFloor; otherwise
-  /// the system warns and falls back to 1. Multi-group topologies, site-pair
-  /// recording, 2^20 or more nodes and single-site latency models also fall
-  /// back (all decided in System::init_sharding).
+  /// Results are byte-identical at any count. 1 — the default — is the
+  /// serial run: one shard with an infinite lookahead, no worker threads.
+  /// More shards require a latency model whose minimum cross-partition
+  /// one-way latency clears kPdesLookaheadFloor; otherwise the system warns
+  /// and runs one shard. Multi-group topologies, site-pair recording and
+  /// single-site latency models also run one shard (all decided in
+  /// System::init_sharding).
   std::size_t shard_count = 1;
   /// Debug/test knob: run shard windows on the calling thread instead of the
   /// worker pool. Results are identical by construction.
@@ -80,74 +80,45 @@ class System {
   /// every node with a small random stagger.
   void start();
 
-  /// The serial engine. Sharded systems never run events through it — use
-  /// schedule_control / run_until on the System, which dispatch correctly in
-  /// both modes.
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] const net::Network& network() const { return *network_; }
   [[nodiscard]] GoCastNode& node(NodeId id) { return *nodes_.at(id); }
   [[nodiscard]] const GoCastNode& node(NodeId id) const { return *nodes_.at(id); }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] SimTime now() const {
-    return sharded_ != nullptr ? sharded_->now() : engine_.now();
-  }
+  [[nodiscard]] SimTime now() const { return engine_->now(); }
   [[nodiscard]] Rng& rng() { return rng_; }
 
   void run_for(SimTime duration) { run_until(now() + duration); }
   void run_until(SimTime t) {
-    if (sharded_ != nullptr) {
-      sharded_->run_until(t);
-      network_->fold_shard_traffic();
-      return;
-    }
-    engine_.run_until(t);
+    engine_->run_until(t);
+    network_->fold_shard_traffic();
   }
 
   // -- sharded PDES (DESIGN.md §11) --
 
-  /// Effective shard count: what the run actually uses after fallbacks
-  /// (1 when unsharded).
+  /// Effective shard count: what the run actually uses after fallbacks.
   [[nodiscard]] std::size_t shard_count() const {
-    return sharded_ != nullptr ? sharded_->shard_count() : 1;
+    return engine_->shard_count();
   }
-  [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
-  /// The conservative lookahead in use (0 when unsharded).
-  [[nodiscard]] SimTime pdes_lookahead() const {
-    return sharded_ != nullptr ? sharded_->lookahead() : 0.0;
-  }
-  [[nodiscard]] sim::ShardedEngine* sharded_engine() { return sharded_.get(); }
+  /// The conservative lookahead in use (kNever with one shard).
+  [[nodiscard]] SimTime pdes_lookahead() const { return engine_->lookahead(); }
+  [[nodiscard]] sim::ShardedEngine* sharded_engine() { return engine_.get(); }
 
   /// Schedules a simulation-global action (fault events, probes, message
-  /// injection) at absolute time `t`. Unsharded this is exactly
-  /// engine().schedule_at; sharded it runs single-threaded at a window
-  /// barrier at the exact time, before same-time shard events.
+  /// injection) at absolute time `t`. It runs single-threaded at a window
+  /// barrier at the exact time, before same-time node events; same-time
+  /// controls run in admission order.
   void schedule_control(SimTime t, sim::InlineCallback cb) {
-    if (sharded_ != nullptr) {
-      sharded_->schedule_control(t, std::move(cb));
-      return;
-    }
-    engine_.schedule_at(t, std::move(cb));
-  }
-  /// Batch variant with the serial engine's schedule_batch admission
-  /// semantics (index order). Callbacks are moved out of `batch`.
-  void schedule_control_batch(std::span<sim::Engine::BatchEvent> batch) {
-    if (sharded_ != nullptr) {
-      for (sim::Engine::BatchEvent& ev : batch) {
-        sharded_->schedule_control(ev.at, std::move(ev.cb));
-      }
-      return;
-    }
-    engine_.schedule_batch(batch);
+    engine_->schedule_control(t, std::move(cb));
   }
 
-  /// Events processed / pending across all engines (sharded or not).
+  /// Events processed / pending across all shards.
   [[nodiscard]] std::size_t events_processed() const {
-    return sharded_ != nullptr ? sharded_->processed() : engine_.processed();
+    return engine_->processed();
   }
   [[nodiscard]] std::size_t events_pending() const {
-    return sharded_ != nullptr ? sharded_->pending() : engine_.pending();
+    return engine_->pending();
   }
 
   /// Kills a uniformly random `fraction` of the currently alive nodes.
@@ -219,21 +190,19 @@ class System {
   [[nodiscard]] MemoryReport memory_report() const;
 
  private:
-  /// Resolves the effective shard layout: fills shard_of_node (per node) and
-  /// creates sharded_ unless a fallback applies (warned). Ctor helper.
-  void init_sharding();
+  /// Resolves the effective shard layout — one shard when a fallback
+  /// applies (warned) — creates engine_, and returns each site's shard.
+  /// Ctor helper.
+  std::vector<std::uint32_t> init_sharding();
 
   SystemConfig config_;
   Rng rng_;
-  sim::Engine engine_;
   std::shared_ptr<const net::LatencyModel> latency_;
+  std::unique_ptr<sim::ShardedEngine> engine_;
   std::unique_ptr<net::Network> network_;
-  /// Non-null iff the run is sharded (after fallbacks).
-  std::unique_ptr<sim::ShardedEngine> sharded_;
-  /// Sharded runs: one landmark-interning store per shard (the store's
-  /// intern tables are single-threaded; entries cross shards by value on the
-  /// wire, so stores never share handles). config_.node.landmark_store stays
-  /// null in that mode.
+  /// One landmark-interning store per shard (the store's intern tables are
+  /// single-threaded; entries cross shards by value on the wire, so stores
+  /// never share handles).
   std::vector<std::shared_ptr<membership::LandmarkStore>> shard_stores_;
   std::vector<std::unique_ptr<GoCastNode>> nodes_;
   std::shared_ptr<GroupDirectory> directory_;

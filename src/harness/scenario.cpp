@@ -44,26 +44,20 @@ template <typename SystemT>
 ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
                      analysis::DeliveryTracker& tracker,
                      const std::vector<NodeId>* excluded_sources = nullptr) {
-  // Sharded runs (DESIGN.md §11) keep one tracker per shard so each hook has
-  // a single writer — its shard's window thread — and merge into the caller's
-  // tracker at the end. Unsharded runs install the caller's tracker directly.
-  std::vector<std::unique_ptr<analysis::DeliveryTracker>> shard_trackers;
-  bool sharded = false;
-  if constexpr (requires { system.sharded(); }) {
-    sharded = system.sharded();
-    if (sharded) {
-      shard_trackers.reserve(system.shard_count());
-      for (std::size_t s = 0; s < system.shard_count(); ++s) {
-        shard_trackers.push_back(
-            std::make_unique<analysis::DeliveryTracker>(config.node_count));
-      }
-      for (NodeId id = 0; id < config.node_count; ++id) {
-        system.node(id).set_delivery_hook(
-            shard_trackers[system.network().shard_of(id)]->hook());
-      }
-    }
+  // One tracker per shard (DESIGN.md §11), so each hook has a single writer —
+  // its shard's window thread. Shard 0 records into the caller's tracker;
+  // the others merge into it at the end.
+  std::vector<std::unique_ptr<analysis::DeliveryTracker>> extra_trackers;
+  std::vector<analysis::DeliveryTracker*> shard_trackers{&tracker};
+  for (std::size_t s = 1; s < system.shard_count(); ++s) {
+    extra_trackers.push_back(
+        std::make_unique<analysis::DeliveryTracker>(config.node_count));
+    shard_trackers.push_back(extra_trackers.back().get());
   }
-  if (!sharded) system.set_delivery_hook(tracker.hook());
+  for (NodeId id = 0; id < config.node_count; ++id) {
+    system.node(id).set_delivery_hook(
+        shard_trackers[system.network().shard_of(id)]->hook());
+  }
   if (config.loss_probability > 0.0) {
     system.network().set_loss_probability(config.loss_probability);
   }
@@ -78,52 +72,38 @@ ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
     system.run_for(kPostFailureSettle);
   }
 
-  tracker.set_recording(true);
-  for (auto& shard_tracker : shard_trackers) shard_tracker->set_recording(true);
+  for (analysis::DeliveryTracker* shard_tracker : shard_trackers) {
+    shard_tracker->set_recording(true);
+  }
   // Link-stress comparisons measure the message workload, not warmup
   // control traffic: restart site-pair accounting at injection time.
   if (config.record_site_pairs) system.network().traffic().clear_site_pairs();
   SimTime inject_start = system.now();
   Rng source_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
-  // Batched admission: the injection timeline is known up front, so the
-  // whole schedule enters the heap in one pass (identical firing order —
-  // see Engine::schedule_batch).
-  std::vector<sim::Engine::BatchEvent> inject;
-  inject.reserve(config.message_count);
+  // Injection is a simulation-global action: it runs at window barriers
+  // (single-threaded, exact times).
   for (std::size_t i = 0; i < config.message_count; ++i) {
     SimTime at = inject_start + static_cast<double>(i) / config.message_rate;
-    inject.push_back({at, [&system, &config, excluded_sources] {
-                        NodeId source = system.random_alive_node();
-                        if (excluded_sources != nullptr) {
-                          for (int guard = 0;
-                               guard < 128 &&
-                               std::binary_search(excluded_sources->begin(),
-                                                  excluded_sources->end(),
-                                                  source);
-                               ++guard) {
-                            source = system.random_alive_node();
-                          }
-                        }
-                        system.node(source).multicast(config.payload_bytes);
-                      }});
-  }
-  // Injection is a simulation-global action: sharded systems admit it at
-  // window barriers (single-threaded, exact times); unsharded systems get the
-  // classic schedule_batch admission byte-for-byte.
-  if constexpr (requires { system.schedule_control_batch(inject); }) {
-    system.schedule_control_batch(inject);
-  } else {
-    system.engine().schedule_batch(inject);
+    system.schedule_control(at, [&system, &config, excluded_sources] {
+      NodeId source = system.random_alive_node();
+      if (excluded_sources != nullptr) {
+        for (int guard = 0;
+             guard < 128 && std::binary_search(excluded_sources->begin(),
+                                               excluded_sources->end(), source);
+             ++guard) {
+          source = system.random_alive_node();
+        }
+      }
+      system.node(source).multicast(config.payload_bytes);
+    });
   }
   SimTime inject_end = inject_start + static_cast<double>(config.message_count) /
                                           config.message_rate;
   system.run_until(inject_end + config.drain);
 
-  // Fold per-shard deliveries back into the caller's tracker (node rows are
-  // disjoint by construction). The run is over, so no hook fires again.
-  for (auto& shard_tracker : shard_trackers) {
-    tracker.merge_from(*shard_tracker);
-  }
+  // Fold the other shards' deliveries into the caller's tracker (node rows
+  // are disjoint by construction). The run is over, so no hook fires again.
+  for (const auto& extra : extra_trackers) tracker.merge_from(*extra);
 
   ScenarioResult result;
   result.delivery_checksum = tracker.checksum();
@@ -181,7 +161,8 @@ ScenarioResult drive_multigroup(
   const SimTime inject_start = system.now();
   const double window =
       static_cast<double>(config.message_count) / config.message_rate;
-  std::vector<sim::Engine::BatchEvent> events;
+  // Group churn and traffic are simulation-global actions (controls);
+  // same-time controls fire in admission order.
 
   // Group churn: topology.churn_rate join/leave events per second during the
   // traffic window, alternating by coin flip, never draining a group below
@@ -190,11 +171,10 @@ ScenarioResult drive_multigroup(
   if (topology.churn_rate > 0.0 && group_count > 1) {
     const std::size_t churn_events =
         static_cast<std::size_t>(topology.churn_rate * window);
-    events.reserve(config.message_count + churn_events);
     for (std::size_t i = 0; i < churn_events; ++i) {
       SimTime at = inject_start +
                    (static_cast<double>(i) + 0.5) / topology.churn_rate;
-      events.push_back({at, [&system, &churn_rng, group_count] {
+      system.schedule_control(at, [&system, &churn_rng, group_count] {
         const auto& dir = system.directory();
         GroupId g = static_cast<GroupId>(
             1 + churn_rng.next_below(group_count - 1));
@@ -212,7 +192,7 @@ ScenarioResult drive_multigroup(
             }
           }
         }
-      }});
+      });
     }
   }
 
@@ -223,7 +203,7 @@ ScenarioResult drive_multigroup(
   Rng source_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
   for (std::size_t i = 0; i < config.message_count; ++i) {
     SimTime at = inject_start + static_cast<double>(i) / config.message_rate;
-    events.push_back({at, [&system, &config, &popularity, &source_rng] {
+    system.schedule_control(at, [&system, &config, &popularity, &source_rng] {
       GroupId g = static_cast<GroupId>(popularity.next());
       NodeId source = kInvalidNode;
       if (g == kDefaultGroup) {
@@ -245,9 +225,8 @@ ScenarioResult drive_multigroup(
         }
       }
       system.node(source).multicast_in(g, config.payload_bytes);
-    }});
+    });
   }
-  system.engine().schedule_batch(events);
   system.run_until(inject_start + window + config.drain);
 
   ScenarioResult result;
@@ -350,9 +329,9 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
   }
 
   // Sharded-PDES gating for what only the harness knows about: churn joins
-  // and invariant probes fall back to the serial engine with a warning.
-  // System::init_sharding applies the model-level fallbacks (multi-group,
-  // site-pair recording, single site, sub-floor lookahead).
+  // fall back to one shard with a warning. System::init_sharding applies the
+  // model-level fallbacks (multi-group, site-pair recording, single site,
+  // sub-floor lookahead).
   std::size_t shards = config.shards;
   if (shards > 1 && has_churn_joins) {
     // Joins are simulation-global (bootstrap draws, per-join probes), so the
@@ -360,11 +339,6 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     // requested shard count by always running churn plans serially.
     GOCAST_WARN("sharded run requested with trace-driven churn "
                 "(session/flash joins); falling back to 1 shard");
-    shards = 1;
-  }
-  if (shards > 1 && config.check_invariants) {
-    GOCAST_WARN("sharded run requested with invariant checking (global "
-                "engine probes); falling back to 1 shard");
     shards = 1;
   }
   sys.shard_count = shards;
@@ -382,8 +356,8 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
 
   core::System system(sys);
 
-  // Scripted faults + invariant auditing ride on the engine next to the
-  // normal phases; the injector/checker must outlive drive().
+  // Scripted faults + invariant auditing run as controls next to the normal
+  // phases; the injector/checker must outlive drive().
   std::optional<fault::FaultInjector> injector;
   std::optional<fault::InvariantChecker> checker;
   if (config.check_invariants) {
@@ -586,7 +560,7 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
 ScenarioResult run_push_gossip(const ScenarioConfig& config) {
   if (config.shards > 1) {
     GOCAST_WARN("sharded runs are GoCast-family only; gossip baseline "
-                "runs on the serial engine");
+                "runs one shard");
   }
   baselines::PushGossipSystemConfig sys;
   sys.node_count = config.node_count;

@@ -74,10 +74,10 @@ struct ScenarioConfig {
 
   /// Sharded conservative-PDES execution (DESIGN.md §11): run the system on
   /// this many engines synchronized in lookahead windows. 1 (the default) is
-  /// the classic serial path. GoCast-family, single-group only; unsupported
-  /// combinations (multi-group, invariant checking, site-pair recording,
-  /// baseline protocols) warn and fall back to 1. Results are byte-identical
-  /// at any shard count.
+  /// the serial run. GoCast-family, single-group only; unsupported
+  /// combinations (multi-group, trace-driven churn joins, site-pair
+  /// recording, baseline protocols) warn and fall back to 1. Results are
+  /// byte-identical at any shard count.
   std::size_t shards = 1;
 
   /// Scripted fault timeline in the compact spec grammar (see
@@ -179,7 +179,7 @@ struct ScenarioResult {
 
   /// Per-join instrumentation for flash-crowd / session-churn joins, in join
   /// order. Filled only when the fault plan contains `flash:`/`session:`
-  /// events (GoCast-family, serial engine).
+  /// events (GoCast-family, one shard).
   struct JoinStats {
     NodeId node = kInvalidNode;
     SimTime at = 0.0;              ///< sim time the join started

@@ -17,8 +17,9 @@
 // unmeasured slots, and NaN != NaN under float compare), so partially
 // measured vectors intern correctly.
 //
-// The store is single-threaded, like everything else hanging off one
-// sim::Engine; parallel sweeps give each System its own store.
+// The store is single-threaded, like everything else on one engine shard:
+// System keeps one store per shard, and parallel sweeps give each System its
+// own stores.
 #pragma once
 
 #include <array>

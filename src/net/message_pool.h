@@ -13,10 +13,11 @@
 // engine that outlives the network).
 //
 // Single-threaded by design, like the rest of the simulator — except when
-// set_shared(true) arms a mutex around allocate/deallocate: sharded PDES runs
-// (DESIGN.md §11) allocate every message on its sender's shard but may drop
-// the last reference on the receiver's shard, so cross-thread deallocation
-// must be safe. The flag is set once before any worker starts.
+// set_shared(true) arms a mutex around allocate/deallocate: multi-shard PDES
+// runs (DESIGN.md §11) allocate every message on its sender's shard but may
+// drop the last reference on the receiver's shard, so cross-thread
+// deallocation must be safe. The flag is set once before any worker starts;
+// one-shard runs leave it off.
 #pragma once
 
 #include <cstddef>

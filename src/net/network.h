@@ -2,6 +2,11 @@
 // latencies drawn from a LatencyModel, models node failure (silent drop of
 // inbound traffic plus a TCP-reset analogue notification to the sender), and
 // accounts traffic for the analysis layer.
+//
+// The network runs on a sim::ShardedEngine (DESIGN.md §11). Every node lives
+// on one shard — shard 0 until assign_shards says otherwise — and every event
+// a node causes is admitted with that node's next ordering key, so the pop
+// order is the same at any shard count. A serial run is the one-shard case.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +50,13 @@ struct NetworkConfig {
 
 class Network {
  public:
-  Network(sim::Engine& engine, std::shared_ptr<const LatencyModel> latency,
-          NetworkConfig config, Rng rng);
+  /// Nodes must stay below kMaxNodes: ordering keys pack the origin id
+  /// above a 20-bit counter (see next_order_key).
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 20;
+
+  Network(sim::ShardedEngine& engine,
+          std::shared_ptr<const LatencyModel> latency, NetworkConfig config,
+          Rng rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -85,44 +95,27 @@ class Network {
   void send(NodeId from, NodeId to, MessagePtr msg);
 
   /// Fan-out: sends `msg` from `from` to every id in targets[0..count) except
-  /// `except` (pass kInvalidNode to exclude nobody), processing targets in
-  /// index order with per-target semantics identical to send() — same stats,
-  /// trace, policy and loss RNG draws, and fluid-uplink queueing — but
-  /// admitting all surviving delivery events into the engine in one
-  /// schedule_batch pass. Byte-identical to the equivalent send() loop.
+  /// `except` (pass kInvalidNode to exclude nobody), in index order.
+  /// Byte-identical to the equivalent send() loop.
   void send_multi(NodeId from, const NodeId* targets, std::size_t count,
                   NodeId except, MessagePtr msg);
 
-  /// Constructs a message of type `M` from this network's slab pool.
-  /// Steady-state traffic recycles message blocks instead of hitting the
-  /// global allocator; the returned pointer is a normal MessagePtr-compatible
-  /// shared_ptr (in-flight messages keep the pool alive on their own).
-  /// Message types with an arena-first constructor get the pool passed
-  /// through, so their variable-length payloads (PoolVec members) are pooled
-  /// too.
-  template <class M, class... Args>
-  [[nodiscard]] std::shared_ptr<const M> make(Args&&... args) {
-    return make_pooled<M>(pool_, std::forward<Args>(args)...);
-  }
-
-  /// Owner-routed variant: sharded runs allocate each message from its
-  /// owner's shard pool (one single-writer arena per shard; cross-thread
-  /// frees go through the arena's shared-mode mutex). Unsharded — or with
-  /// kInvalidNode — this is exactly make().
+  /// Constructs a message of type `M` from `owner`'s shard pool (one slab
+  /// arena per shard). Steady-state traffic recycles message blocks instead
+  /// of hitting the global allocator; the returned pointer is a normal
+  /// MessagePtr-compatible shared_ptr (in-flight messages keep the pool
+  /// alive on their own). Message types with an arena-first constructor get
+  /// the pool passed through, so their variable-length payloads (PoolVec
+  /// members) are pooled too. With more than one shard, messages are freed
+  /// on other shards' threads, so the arenas run in shared mode.
   template <class M, class... Args>
   [[nodiscard]] std::shared_ptr<const M> make_for(NodeId owner,
                                                   Args&&... args) {
-    const std::shared_ptr<MessageArena>& pool =
-        (sharded_engine_ != nullptr && owner != kInvalidNode)
-            ? shard_pools_[shard_of_[owner]]
-            : pool_;
-    return make_pooled<M>(pool, std::forward<Args>(args)...);
+    return make_pooled<M>(pools_[shard_of(owner)],
+                          std::forward<Args>(args)...);
   }
 
-  [[nodiscard]] const MessageArena& pool() const { return *pool_; }
-
-  /// Pool telemetry summed over the main pool and any shard pools (bench
-  /// reporting; individual arenas stay accessible via pool()).
+  /// Pool telemetry summed over the shard pools (bench reporting).
   struct PoolCounters {
     std::uint64_t reused = 0;
     std::uint64_t fresh = 0;
@@ -137,45 +130,39 @@ class Network {
   void report_aborted_transfer(NodeId from, NodeId to, std::size_t bytes);
 
   /// Installs (or clears, with nullptr) a message-flow observer. The sink
-  /// must outlive the network. Unsharded runs only (a sink would observe
+  /// must outlive the network. One-shard runs only (a sink would observe
   /// events out of global order across shard threads).
   void set_trace(TraceSink* sink) {
-    GOCAST_ASSERT_MSG(sharded_engine_ == nullptr || sink == nullptr,
-                      "trace sinks are unsupported in sharded runs");
+    GOCAST_ASSERT_MSG(engine_.shard_count() == 1 || sink == nullptr,
+                      "trace sinks need a one-shard run");
     trace_ = sink;
   }
 
-  // -- sharded PDES mode (DESIGN.md §11) --
+  // -- shard placement (DESIGN.md §11) --
 
-  /// Switches the network into sharded mode: node `i` lives on shard
-  /// `shard_of_node[i]` of `sharded`, sends route onto the owning shard's
-  /// engine (same shard) or through the cross-shard mailboxes, and stats /
-  /// message pools become per-shard (folded back via fold_shard_traffic).
-  /// Must be called after all add_node calls and before any traffic; trace
-  /// sinks and site-pair recording are unsupported. `draw_seed` keys the
-  /// stateless per-sender loss/jitter draws that replace the serial rng_
-  /// stream (see DESIGN.md §11 for why draws must be per-origin).
-  void enable_sharding(sim::ShardedEngine& sharded,
-                       std::vector<std::uint16_t> shard_of_node,
-                       std::uint64_t draw_seed);
-  [[nodiscard]] bool sharded() const { return sharded_engine_ != nullptr; }
+  /// Places node `i` on shard `shard_of_node[i]`: sends to another shard
+  /// travel through the cross-shard mailboxes. Must be called after all
+  /// add_node calls and before any traffic. `draw_seed` keys the stateless
+  /// per-sender loss/jitter draws that replace the rng_ stream when the run
+  /// has more than one shard (see DESIGN.md §11 for why draws must be
+  /// per-origin there).
+  void assign_shards(std::vector<std::uint16_t> shard_of_node,
+                     std::uint64_t draw_seed);
   [[nodiscard]] std::uint16_t shard_of(NodeId node) const {
-    return sharded_engine_ != nullptr ? shard_of_[node] : 0;
+    return shard_of_[node];
   }
 
-  /// The engine that runs `node`'s events: its shard engine when sharded,
-  /// else the network's single engine.
+  /// The shard engine that runs `node`'s events.
   [[nodiscard]] sim::Engine& engine_of(NodeId node) {
-    return sharded_engine_ != nullptr ? sharded_engine_->shard(shard_of_[node])
-                                      : engine_;
+    return engine_.shard(shard_of_[node]);
   }
 
-  /// Next cross-shard ordering key for an event caused by `origin`:
-  /// (origin << 20) | per-origin counter. Each origin's admissions happen in
-  /// its own program order — which is shard-count-invariant — so the packed
-  /// (time, key) order the engines pop in is byte-identical at any K.
-  /// Counter wrap at 2^20 is benign for correctness (the engine's slot bits
-  /// keep tags unique) and unreachable for same-(origin, time) pairs.
+  /// Next ordering key for an event caused by `origin`: (origin << 20) |
+  /// per-origin counter. Each origin's admissions happen in its own program
+  /// order — which is shard-count-invariant — so the packed (time, key)
+  /// order the engines pop in is byte-identical at any K. Counter wrap at
+  /// 2^20 is benign for correctness (the engine's slot bits keep tags
+  /// unique) and unreachable for same-(origin, time) pairs.
   [[nodiscard]] std::uint64_t next_order_key(NodeId origin) {
     GOCAST_ASSERT(origin < nodes_.size());
     NodeRecord& rec = nodes_[origin];
@@ -184,7 +171,7 @@ class Network {
   }
 
   /// Folds per-shard traffic counters into the main TrafficStats (barrier
-  /// context only). No-op when unsharded.
+  /// context only). No-op with one shard, whose sends account directly.
   void fold_shard_traffic();
 
   /// Installs (or clears, with nullptr) a per-link policy consulted on every
@@ -203,17 +190,14 @@ class Network {
   }
 
   /// Approximate heap bytes owned by the network (node records, message
-  /// pool slabs, batch scratch). The engine is counted separately.
+  /// pool slabs). The engine is counted separately.
   [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t bytes = nodes_.capacity() * sizeof(NodeRecord) +
-                        pool_->memory_bytes() +
-                        batch_scratch_.capacity() * sizeof(sim::Engine::BatchEvent);
-    for (const auto& pool : shard_pools_) bytes += pool->memory_bytes();
+    std::size_t bytes = nodes_.capacity() * sizeof(NodeRecord);
+    for (const auto& pool : pools_) bytes += pool->memory_bytes();
     bytes += shard_of_.capacity() * sizeof(std::uint16_t);
     return bytes;
   }
 
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const LatencyModel& latency_model() const { return *latency_; }
   [[nodiscard]] TrafficStats& traffic() { return traffic_; }
   [[nodiscard]] const TrafficStats& traffic() const { return traffic_; }
@@ -226,58 +210,65 @@ class Network {
     bool alive = true;
     /// When the node's uplink frees up (fluid queueing model).
     SimTime uplink_free_at = 0.0;
-    /// Sharded mode only; both written exclusively by the owning shard's
-    /// thread (or at barriers). Cross-shard ordering-key counter and
-    /// stateless-draw counter (see next_order_key / prf_uniform).
+    /// Both written exclusively by the owning shard's thread (or at
+    /// barriers). Ordering-key counter and (multi-shard runs) stateless-draw
+    /// counter (see next_order_key / prf_uniform).
     std::uint32_t order_ctr = 0;
     std::uint32_t draw_ctr = 0;
   };
 
-  /// Computes a target's admission — stats, trace, site pairs, link policy
-  /// and loss draws, latency/jitter/uplink delay — and returns false when the
-  /// message is dropped before the wire. On true, `delay` holds the delivery
-  /// delay. Shared by send() and send_multi(); the sender must be alive.
-  bool admit(NodeId from, NodeId to, const MessagePtr& msg, SimTime& delay);
+  /// Computes a target's admission at the sender's time `now` — stats,
+  /// trace, site pairs, link policy and loss draws, latency/jitter/uplink
+  /// delay — and returns false when the message is dropped before the wire.
+  /// On true, `delay` holds the delivery delay. Shared by send() and
+  /// send_multi(); the sender must be alive.
+  bool admit(NodeId from, NodeId to, const MessagePtr& msg, SimTime now,
+             SimTime& delay);
 
   /// Delivery-time handling: hand to the endpoint, or account the dead
   /// receiver and schedule the TCP-reset-analogue notification.
   void deliver(NodeId from, NodeId to, const MessagePtr& msg);
 
-  // -- sharded-mode internals (network.cpp) --
-  void send_sharded(NodeId from, NodeId to, MessagePtr msg);
-  bool admit_sharded(NodeId from, NodeId to, const MessagePtr& msg,
-                     SimTime& delay);
   /// Schedules `cb` at `at` on `dst_shard` with `origin`'s next order key —
   /// directly when the origin owns the shard, via the mailbox otherwise.
-  void route_sharded(NodeId origin, std::uint16_t dst_shard, SimTime at,
-                     sim::InlineCallback cb);
-  /// Stateless uniform [0,1) draw keyed by (draw_seed, origin, counter):
-  /// per-origin streams make loss/jitter draws shard-count-invariant.
+  void route(NodeId origin, std::uint16_t dst_shard, SimTime at,
+             sim::InlineCallback cb);
+
+  /// The stats that events on `node`'s shard account into: traffic_ itself
+  /// with one shard, else that shard's own counters.
+  [[nodiscard]] TrafficStats& stats_of(NodeId node) {
+    return shard_traffic_.empty() ? traffic_ : shard_traffic_[shard_of_[node]];
+  }
+
+  // The run's randomness seam. One shard draws from rng_ in send order (the
+  // historical stream); more shards draw from per-origin streams (see
+  // prf_uniform), whose outcomes do not depend on how sends from different
+  // origins interleave.
+  /// True with probability `p`, drawn for a send by `origin`.
+  [[nodiscard]] bool chance(NodeId origin, double p);
+  /// Uniform delay in [0, max), drawn for a send by `origin`.
+  [[nodiscard]] SimTime jitter(NodeId origin, SimTime max);
+  /// Stateless uniform [0,1) draw keyed by (draw_seed, origin, counter).
   [[nodiscard]] double prf_uniform(NodeId origin);
 
-  sim::Engine& engine_;
+  sim::ShardedEngine& engine_;
   std::shared_ptr<const LatencyModel> latency_;
-  std::shared_ptr<MessageArena> pool_ = std::make_shared<MessageArena>();
   NetworkConfig config_;
   Rng rng_;
   std::vector<NodeRecord> nodes_;
-  /// Reused send_multi staging buffer. Safe as a member: schedule_batch runs
-  /// no callbacks, so a send_multi can never re-enter another.
-  std::vector<sim::Engine::BatchEvent> batch_scratch_;
   std::size_t alive_count_ = 0;
   TrafficStats traffic_;
   TraceSink* trace_ = nullptr;
   const LinkPolicy* policy_ = nullptr;
 
-  // -- sharded mode (null/empty when unsharded) --
-  sim::ShardedEngine* sharded_engine_ = nullptr;
   std::vector<std::uint16_t> shard_of_;
-  /// One stats object per shard, written only by the owning shard's thread;
-  /// folded into traffic_ at barriers. Senders account into their own
-  /// shard's stats, deliveries into the receiver's.
+  /// Multi-shard runs only: one stats object per shard, written only by the
+  /// owning shard's thread; folded into traffic_ at barriers. Senders
+  /// account into their own shard's stats, deliveries into the receiver's.
   std::vector<TrafficStats> shard_traffic_;
-  /// One arena per shard (shared-mode mutex armed for cross-thread frees).
-  std::vector<std::shared_ptr<MessageArena>> shard_pools_;
+  /// One arena per shard (shared-mode mutex armed for cross-thread frees
+  /// when there is more than one).
+  std::vector<std::shared_ptr<MessageArena>> pools_;
   std::uint64_t draw_seed_ = 0;
 };
 

@@ -1,12 +1,11 @@
 // Simulation binding of the runtime seam (see runtime/context.h).
 //
-// A SimRuntime is two pointers — the event engine and the simulated network —
-// and every method is an inline forward. Protocol classes instantiated over
-// it compile to the same code they did when they held `sim::Engine&` /
-// `net::Network&` members directly: no virtual dispatch, no extra
-// indirection, nothing for the optimizer to chew through. The implicit
-// conversion from net::Network& keeps the dozens of existing construction
-// sites (`OverlayManager(id, network, ...)`) source-compatible.
+// A SimRuntime is bound to one node (its owner): the owner's shard engine,
+// the simulated network and the owner's id, and every method is an inline
+// forward. Protocol classes instantiated over it compile to the same code
+// they did when they held `sim::Engine&` / `net::Network&` members directly:
+// no virtual dispatch, no extra indirection, nothing for the optimizer to
+// chew through.
 #pragma once
 
 #include <cstddef>
@@ -31,15 +30,9 @@ class SimRuntime final {
     return sim::kInvalidEvent;
   }
 
-  // Implicit on purpose: every existing protocol constructor takes
-  // `net::Network&` and should keep working unchanged.
-  SimRuntime(net::Network& network)  // NOLINT(google-explicit-constructor)
-      : engine_(&network.engine()), network_(&network) {}
-
-  /// Owner-aware binding for sharded runs (DESIGN.md §11): schedules on the
-  /// owner's shard engine and tags every timer with the owner's next
-  /// ordering key, so timer pop order is shard-count-invariant. Unsharded
-  /// networks get the classic single-engine behavior byte-for-byte.
+  /// Schedules on the owner's shard engine and tags every timer with the
+  /// owner's next ordering key, so timer pop order is shard-count-invariant
+  /// (DESIGN.md §11).
   SimRuntime(net::Network& network, NodeId owner)
       : engine_(&network.engine_of(owner)),
         network_(&network),
@@ -48,15 +41,10 @@ class SimRuntime final {
   [[nodiscard]] SimTime now() const { return engine_->now(); }
 
   TimerId schedule_after(SimTime delay, sim::InlineCallback cb) {
-    if (network_->sharded()) {
-      GOCAST_ASSERT_MSG(owner_ != kInvalidNode,
-                        "sharded runs need owner-bound runtimes");
-      GOCAST_ASSERT_MSG(delay >= 0.0, "negative delay " << delay);
-      return engine_->schedule_at_ordered(engine_->now() + delay,
-                                          network_->next_order_key(owner_),
-                                          std::move(cb));
-    }
-    return engine_->schedule_after(delay, std::move(cb));
+    GOCAST_ASSERT_MSG(delay >= 0.0, "negative delay " << delay);
+    return engine_->schedule_at_ordered(engine_->now() + delay,
+                                        network_->next_order_key(owner_),
+                                        std::move(cb));
   }
 
   bool cancel(TimerId id) { return engine_->cancel(id); }
@@ -100,17 +88,10 @@ class SimRuntime final {
     return network_->fork_rng(salt);
   }
 
-  // Escape hatches for sim-only code (harness, analysis). Protocol logic
-  // must stay on the Context surface above.
-  [[nodiscard]] sim::Engine& engine() { return *engine_; }
-  [[nodiscard]] net::Network& network() { return *network_; }
-
  private:
   sim::Engine* engine_;
   net::Network* network_;
-  /// Set by the owner-aware constructor; kInvalidNode routes make() to the
-  /// network's main pool and is rejected by sharded schedule_after.
-  NodeId owner_ = kInvalidNode;
+  NodeId owner_;
 };
 
 static_assert(Context<SimRuntime>,

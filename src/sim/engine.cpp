@@ -166,40 +166,6 @@ EventId Engine::schedule_at_ordered(SimTime t, std::uint64_t order_key,
   return EventId{slot, m.generation};
 }
 
-void Engine::schedule_batch(std::span<BatchEvent> batch) {
-  if (batch.empty()) return;
-  const std::size_t old_size = heap_.size();
-  heap_.reserve(old_size + batch.size());
-  for (BatchEvent& ev : batch) {
-    GOCAST_ASSERT_MSG(ev.at >= now_, "scheduling into the past: t="
-                                         << ev.at << " now=" << now_);
-    GOCAST_ASSERT(static_cast<bool>(ev.cb));
-    GOCAST_ASSERT(next_seq_ < kMaxSeq);
-    const std::uint32_t slot = acquire_slot();
-    const std::uint64_t tag = (next_seq_++ << kSlotBits) | slot;
-    meta_ref(slot).live_tag = tag;
-    callback_ref(slot) = std::move(ev.cb);
-    heap_.push_back(make_entry(time_key(ev.at), tag));
-  }
-  live_events_ += batch.size();
-
-  const std::size_t n = heap_.size();
-  if (batch.size() >= old_size - kRootPos) {
-    // The batch dominates the existing entries: one Floyd heapify over the
-    // whole array is O(n) versus O(k log n) for per-entry sifts. Each sift is
-    // bounded at its own start position — ancestors are not heapified yet
-    // (same discipline as compact_heap).
-    if (n > kRootPos + 1) {
-      for (std::size_t i = std::min((n - 1 + 8) / 4, n - 1); i >= kRootPos;
-           --i) {
-        sift_down(i, i);
-      }
-    }
-  } else {
-    for (std::size_t pos = old_size; pos < n; ++pos) sift_up(pos);
-  }
-}
-
 bool Engine::cancel(EventId id) {
   if (id.slot >= slot_count_) return false;
   SlotMeta& m = meta_ref(id.slot);

@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -93,24 +92,6 @@ class Engine {
   /// should pick one discipline. Ordered events are fire-and-forget in
   /// spirit but still return a cancelable handle.
   EventId schedule_at_ordered(SimTime t, std::uint64_t order_key, Callback cb);
-
-  /// One event of a schedule_batch admission.
-  struct BatchEvent {
-    SimTime at = 0.0;
-    Callback cb;
-  };
-
-  /// Admits every event in `batch` (each at >= now()) in index order with the
-  /// same seq tie-break discipline as the equivalent sequence of schedule_at
-  /// calls — pop order is a function of the packed (time, seq) keys only, so
-  /// a batched admission is byte-identical to the serial one. The entries are
-  /// appended to the heap storage in one pass (filling whole sibling groups —
-  /// each group is one cache line) and the invariant is restored either by
-  /// sifting the new tail entries up, or, when the batch rivals the existing
-  /// heap, by one bounded Floyd heapify over the whole array. Batch events
-  /// are fire-and-forget: use schedule_at when a cancelable handle is needed.
-  /// Callbacks are moved out of `batch`.
-  void schedule_batch(std::span<BatchEvent> batch);
 
   /// Cancels a pending event. Returns false if it already fired or was
   /// canceled (safe to call either way).

@@ -142,8 +142,7 @@ void ShardedEngine::run_until(SimTime t) {
     if (t_ctrl <= t_next) {
       // No shard event strictly earlier than the control. Advance every
       // shard to the control time with run_before — same-time shard events
-      // stay pending, so the control fires ahead of them, exactly like a
-      // serial engine where the control was admitted first.
+      // stay pending, so the control fires ahead of them.
       if (t_ctrl > t) break;
       parallel_run(t_ctrl, /*inclusive=*/false);
       now_ = t_ctrl;

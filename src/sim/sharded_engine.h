@@ -22,8 +22,12 @@
 // probes) run single-threaded at exact global times via schedule_control —
 // the window loop advances every shard to the control time (run_before, so
 // same-time shard events stay pending), fires the controls in admission
-// order, and resumes. This reproduces the serial engine's discipline where a
-// control admitted before same-time deliveries pops first.
+// order, and resumes.
+//
+// K=1 is the serial run: one shard with an infinite lookahead (kNever), so a
+// window spans from one control (or horizon) to the next, with no workers,
+// no mailboxes and no barriers. Every simulated run uses this class; there
+// is no other event order.
 //
 // Threading: a persistent pool of K-1 workers plus the calling thread (which
 // runs shard 0). All shared state hands over at the barrier mutex, so the
@@ -48,18 +52,21 @@ namespace gocast::sim {
 
 class ShardedEngine {
  public:
+  /// The defaults are the serial run: one shard, infinite lookahead.
   struct Config {
-    std::size_t shards = 2;
+    std::size_t shards = 1;
     /// Minimum cross-shard transit latency (seconds). Every cross-shard
     /// mailbox post must satisfy at >= send_time + lookahead; the window
     /// width is derived from it. Must be > 0 — degenerate topologies are the
-    /// caller's job to detect and fall back on (core::System does).
-    SimTime lookahead = 0.001;
+    /// caller's job to detect and fall back to one shard on (core::System
+    /// does).
+    SimTime lookahead = kNever;
     /// Run windows on the calling thread (no worker pool). Identical
     /// results by construction; used by tests to pin threaded == serial.
     bool serial = false;
   };
 
+  ShardedEngine() : ShardedEngine(Config{}) {}
   explicit ShardedEngine(Config config);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;

@@ -33,7 +33,7 @@
 // unknown-version, and malformed-field frames without allocating
 // unbounded memory (payload counts are validated against the actual body
 // size before any reservation). Accepted frames construct the message via
-// the same pooled allocation path Network::make uses: object + control
+// the same pooled allocation path Network::make_for uses: object + control
 // block from the arena, variable-length payloads filled in place into
 // arena-backed PoolVecs (net::WireDecodeTag constructors) — no
 // intermediate copies between the datagram bytes and the final message.

@@ -22,10 +22,11 @@ class ShellNode : public net::Endpoint {
       : id_(id),
         network_(network),
         view_(id, 256, Rng(900 + id)),
-        overlay_(id, network, view_, params, SparseRng(1000 + id)) {
+        overlay_(id, runtime::SimRuntime(network, id), view_, params,
+                 SparseRng(1000 + id)) {
     if (with_tree) {
-      tree_ = std::make_unique<tree::TreeManager>(id, network, overlay_,
-                                                  tree_params);
+      tree_ = std::make_unique<tree::TreeManager>(
+          id, runtime::SimRuntime(network, id), overlay_, tree_params);
       overlay_.add_listener(tree_.get());
     }
     network.set_endpoint(id, this);
@@ -114,7 +115,7 @@ class ShellCluster {
   ShellCluster(std::size_t n, overlay::OverlayParams params,
                bool with_tree = false, tree::TreeParams tree_params = {},
                SimTime max_one_way = 0.08)
-      : network_(engine_,
+      : network_(sharded_,
                  std::make_shared<net::RingLatencyModel>(n, max_one_way),
                  net::NetworkConfig{}, Rng(77)) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -141,13 +142,13 @@ class ShellCluster {
     }
   }
 
-  sim::Engine& engine() { return engine_; }
+  sim::Engine& engine() { return sharded_.shard(0); }
   net::Network& network() { return network_; }
   ShellNode& node(NodeId id) { return *nodes_.at(id); }
   std::size_t size() const { return nodes_.size(); }
 
  private:
-  sim::Engine engine_;
+  sim::ShardedEngine sharded_;
   net::Network network_;
   std::vector<std::unique_ptr<ShellNode>> nodes_;
 };

@@ -229,98 +229,6 @@ TEST(Engine, CancelHeavyCompactionPreservesOrder) {
   }
 }
 
-// schedule_batch must be indistinguishable from calling schedule_at on each
-// event in index order: same seq discipline, same tie-breaks, regardless of
-// whether the admission path heapified (dominant batch) or sifted-up (small
-// batch into a large heap).
-TEST(EngineBatch, BatchMatchesSequentialScheduleIntoEmptyHeap) {
-  Engine sequential;
-  Engine batched;
-  std::vector<int> seq_order;
-  std::vector<int> batch_order;
-
-  // Ties on purpose: three distinct times, many events each.
-  std::vector<Engine::BatchEvent> batch;
-  for (int i = 0; i < 60; ++i) {
-    const SimTime at = 1.0 + static_cast<SimTime>(i % 3);
-    sequential.schedule_at(at, [&seq_order, i] { seq_order.push_back(i); });
-    batch.push_back({at, [&batch_order, i] { batch_order.push_back(i); }});
-  }
-  batched.schedule_batch(batch);
-
-  sequential.run();
-  batched.run();
-  EXPECT_EQ(batch_order, seq_order);
-  EXPECT_EQ(batched.now(), sequential.now());
-  EXPECT_EQ(batched.processed(), sequential.processed());
-}
-
-TEST(EngineBatch, SmallBatchIntoLargeHeapPreservesTieBreaks) {
-  Engine sequential;
-  Engine batched;
-  std::vector<int> seq_order;
-  std::vector<int> batch_order;
-
-  // Large pre-existing heap so the batch takes the incremental sift-up path.
-  for (int i = 0; i < 200; ++i) {
-    const SimTime at = 2.0 + 0.001 * static_cast<SimTime>(i % 7);
-    sequential.schedule_at(at, [&seq_order, i] { seq_order.push_back(i); });
-    batched.schedule_at(at, [&batch_order, i] { batch_order.push_back(i); });
-  }
-  // Small batch with times that tie existing entries: the batch's events must
-  // sort after equal-time pre-existing ones (higher seq), exactly like
-  // sequential schedule_at calls would.
-  std::vector<Engine::BatchEvent> batch;
-  for (int i = 200; i < 208; ++i) {
-    const SimTime at = 2.0 + 0.001 * static_cast<SimTime>(i % 7);
-    sequential.schedule_at(at, [&seq_order, i] { seq_order.push_back(i); });
-    batch.push_back({at, [&batch_order, i] { batch_order.push_back(i); }});
-  }
-  batched.schedule_batch(batch);
-
-  sequential.run();
-  batched.run();
-  EXPECT_EQ(batch_order, seq_order);
-}
-
-TEST(EngineBatch, EmptyBatchIsANoOp) {
-  Engine engine;
-  std::vector<Engine::BatchEvent> batch;
-  engine.schedule_batch(batch);
-  EXPECT_EQ(engine.pending(), 0u);
-  engine.schedule_at(1.0, [] {});
-  engine.schedule_batch(batch);
-  EXPECT_EQ(engine.pending(), 1u);
-}
-
-TEST(EngineBatch, BatchedEventsInterleaveWithLaterSequentialOnes) {
-  Engine engine;
-  std::vector<int> order;
-  std::vector<Engine::BatchEvent> batch;
-  batch.push_back({1.0, [&order] { order.push_back(0); }});
-  batch.push_back({3.0, [&order] { order.push_back(2); }});
-  engine.schedule_batch(batch);
-  engine.schedule_at(2.0, [&order] { order.push_back(1); });
-  engine.schedule_at(3.0, [&order] { order.push_back(3); });  // ties after batch
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(EngineBatch, CancelStillWorksAroundABatch) {
-  Engine engine;
-  bool fired = false;
-  EventId keep = engine.schedule_at(5.0, [&fired] { fired = true; });
-  std::vector<Engine::BatchEvent> batch;
-  for (int i = 0; i < 32; ++i) {
-    batch.push_back({1.0 + 0.1 * i, [] {}});
-  }
-  engine.schedule_batch(batch);
-  EXPECT_TRUE(engine.cancel(keep));
-  engine.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(engine.processed(), 32u);
-}
-
 TEST(Engine, RecursiveSchedulingChain) {
   Engine engine;
   int depth = 0;

@@ -258,7 +258,7 @@ TEST(MemoryLayoutGoldens, Construct32kNodesAndWarmStart) {
   system.run_until(0.5);
 
   EXPECT_EQ(system.alive_nodes().size(), 32768u);
-  EXPECT_GT(system.engine().processed(), 0u);
+  EXPECT_GT(system.events_processed(), 0u);
 
   const auto mem = system.memory_report();
   EXPECT_GT(mem.total_bytes(), 0u);

@@ -48,7 +48,7 @@ class RecordingEndpoint final : public Endpoint {
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
-      : network_(engine_, std::make_shared<RingLatencyModel>(8, 0.08),
+      : network_(sharded_, std::make_shared<RingLatencyModel>(8, 0.08),
                  NetworkConfig{}, Rng(1)) {
     for (int i = 0; i < 4; ++i) {
       NodeId id = network_.add_node(static_cast<std::uint32_t>(i * 2));
@@ -57,7 +57,8 @@ class NetworkTest : public ::testing::Test {
     }
   }
 
-  sim::Engine engine_;
+  sim::ShardedEngine sharded_;
+  sim::Engine& engine_{sharded_.shard(0)};
   Network network_;
   std::vector<std::unique_ptr<RecordingEndpoint>> endpoints_;
 };
@@ -137,10 +138,10 @@ TEST_F(NetworkTest, TrafficAccounting) {
 }
 
 TEST(NetworkIntraSite, CoLocatedNodesUseIntraSiteLatency) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
   NetworkConfig config;
   config.intra_site_one_way = 0.0005;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.08), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.08), config,
                   Rng(1));
   NodeId a = network.add_node(2);
   NodeId b = network.add_node(2);  // same site
@@ -148,10 +149,11 @@ TEST(NetworkIntraSite, CoLocatedNodesUseIntraSiteLatency) {
 }
 
 TEST(NetworkLoss, LossProbabilityDropsMessages) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
   config.loss_probability = 0.5;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.08), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.08), config,
                   Rng(7));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -167,10 +169,11 @@ TEST(NetworkLoss, LossProbabilityDropsMessages) {
 }
 
 TEST(NetworkSitePairs, RecordsWhenEnabled) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
   config.record_site_pairs = true;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.08), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.08), config,
                   Rng(1));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -185,10 +188,11 @@ TEST(NetworkSitePairs, RecordsWhenEnabled) {
 }
 
 TEST(NetworkBandwidth, SerializationDelayAddsToLatency) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
   config.uplink_bytes_per_second = 1000.0;  // 1 KB/s: 100 bytes = 0.1 s
-  Network network(engine, std::make_shared<RingLatencyModel>(8, 0.08), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(8, 0.08), config,
                   Rng(1));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -202,10 +206,11 @@ TEST(NetworkBandwidth, SerializationDelayAddsToLatency) {
 }
 
 TEST(NetworkBandwidth, ConcurrentSendsQueueOnTheUplink) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
   config.uplink_bytes_per_second = 1000.0;
-  Network network(engine, std::make_shared<RingLatencyModel>(8, 0.08), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(8, 0.08), config,
                   Rng(1));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -221,8 +226,9 @@ TEST(NetworkBandwidth, ConcurrentSendsQueueOnTheUplink) {
 }
 
 TEST(NetworkBandwidth, ZeroBandwidthMeansNoSerializationDelay) {
-  sim::Engine engine;
-  Network network(engine, std::make_shared<RingLatencyModel>(8, 0.08),
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
+  Network network(sharded, std::make_shared<RingLatencyModel>(8, 0.08),
                   NetworkConfig{}, Rng(1));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -243,7 +249,7 @@ struct StubPolicy final : LinkPolicy {
 class LinkPolicyTest : public ::testing::Test {
  protected:
   LinkPolicyTest()
-      : network_(engine_, std::make_shared<RingLatencyModel>(8, 0.08),
+      : network_(sharded_, std::make_shared<RingLatencyModel>(8, 0.08),
                  NetworkConfig{}, Rng(5)),
         a_(engine_),
         b_(engine_) {
@@ -253,7 +259,8 @@ class LinkPolicyTest : public ::testing::Test {
     network_.set_link_policy(&policy_);
   }
 
-  sim::Engine engine_;
+  sim::ShardedEngine sharded_;
+  sim::Engine& engine_{sharded_.shard(0)};
   Network network_;
   RecordingEndpoint a_;
   RecordingEndpoint b_;
@@ -323,8 +330,9 @@ TEST_F(LinkPolicyTest, ClearingThePolicyRestoresDelivery) {
 }
 
 TEST(NetworkLoss, SetLossProbabilityTakesEffectMidRun) {
-  sim::Engine engine;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.08),
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.08),
                   NetworkConfig{}, Rng(11));
   RecordingEndpoint a(engine);
   RecordingEndpoint b(engine);
@@ -370,8 +378,8 @@ TEST(MessagePool, CopiedPayloadVectorDetachesFromArena) {
 }
 
 TEST(NetworkRoundRobin, MapsNodesToSitesModulo) {
-  sim::Engine engine;
-  Network network(engine, std::make_shared<RingLatencyModel>(3, 0.08),
+  sim::ShardedEngine sharded;
+  Network network(sharded, std::make_shared<RingLatencyModel>(3, 0.08),
                   NetworkConfig{}, Rng(1));
   network.add_nodes_round_robin(7);
   EXPECT_EQ(network.node_count(), 7u);

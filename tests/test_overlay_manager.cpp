@@ -262,8 +262,9 @@ TEST(OverlayMaintenance, DrainedMeasureQueueIsFreed) {
 }
 
 TEST(OverlayParamsValidation, RejectsBadConfig) {
-  sim::Engine engine;
-  net::Network network(engine, std::make_shared<net::RingLatencyModel>(4, 0.08),
+  sim::ShardedEngine sharded;
+  net::Network network(sharded,
+                       std::make_shared<net::RingLatencyModel>(4, 0.08),
                        net::NetworkConfig{}, Rng(1));
   network.add_node(0);
   membership::PartialView view(0, 16, Rng(2));
@@ -271,12 +272,14 @@ TEST(OverlayParamsValidation, RejectsBadConfig) {
   OverlayParams bad;
   bad.target_rand_degree = 0;
   bad.target_near_degree = 0;
-  EXPECT_THROW(OverlayManager(0, network, view, bad, SparseRng(3)),
+  EXPECT_THROW(OverlayManager(0, runtime::SimRuntime(network, 0), view, bad,
+                              SparseRng(3)),
                AssertionError);
 
   OverlayParams bad_ratio;
   bad_ratio.replace_ratio = 0.0;
-  EXPECT_THROW(OverlayManager(0, network, view, bad_ratio, SparseRng(3)),
+  EXPECT_THROW(OverlayManager(0, runtime::SimRuntime(network, 0), view,
+                              bad_ratio, SparseRng(3)),
                AssertionError);
 }
 

@@ -1,13 +1,16 @@
 // Sharded conservative-PDES tests (DESIGN.md §11): ordered engine admission,
 // cross-partition lookahead queries, window/control/mailbox semantics of
-// ShardedEngine, the degenerate-lookahead fallback, and — the headline — that
+// ShardedEngine, the one-shard fallbacks, and — the headline — that
 // full-protocol runs are byte-identical at every shard count, including under
-// churn and scripted faults.
+// same-instant arrival ties, churn, scripted faults and invariant checking.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "fault/invariant_checker.h"
 #include "gocast/system.h"
 #include "harness/scenario.h"
 #include "net/latency_model.h"
@@ -116,6 +119,22 @@ TEST(ShardedEngineUnit, MailboxDeliversInTimeKeyOrder) {
 
 // -- degenerate-lookahead fallback --
 
+TEST(ShardedEngineUnit, OneShardRunsWithoutLookaheadBound) {
+  // The serial run: one shard, infinite lookahead. Controls split the run
+  // into windows; nothing else does.
+  sim::ShardedEngine engine;
+  EXPECT_EQ(engine.shard_count(), 1u);
+  EXPECT_EQ(engine.lookahead(), kNever);
+  std::vector<int> order;
+  engine.shard(0).schedule_at_ordered(1.0, 5, [&] { order.push_back(1); });
+  engine.shard(0).schedule_at_ordered(3.0, 1, [&] { order.push_back(3); });
+  engine.schedule_control(2.0, [&] { order.push_back(2); });
+  engine.run_until(4.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(engine.windows(), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
+}
+
 TEST(ShardedFallback, DegenerateLookaheadFallsBackToSerial) {
   // Ring with 16 sites and 4 ms antipodal latency: a boundary step is
   // 0.5 ms, below the 0.8 ms floor, so sharding must fall back.
@@ -125,9 +144,8 @@ TEST(ShardedFallback, DegenerateLookaheadFallsBackToSerial) {
   config.latency = std::make_shared<net::RingLatencyModel>(16, 0.004);
   config.shard_count = 4;
   core::System system(config);
-  EXPECT_FALSE(system.sharded());
   EXPECT_EQ(system.shard_count(), 1u);
-  EXPECT_DOUBLE_EQ(system.pdes_lookahead(), 0.0);
+  EXPECT_EQ(system.pdes_lookahead(), kNever);
 }
 
 TEST(ShardedFallback, SingleSiteTopologyFallsBackToSerial) {
@@ -140,7 +158,6 @@ TEST(ShardedFallback, SingleSiteTopologyFallsBackToSerial) {
       1, std::vector<float>{0.0f});
   config.shard_count = 4;
   core::System system(config);
-  EXPECT_FALSE(system.sharded());
   EXPECT_EQ(system.shard_count(), 1u);
 }
 
@@ -152,7 +169,7 @@ TEST(ShardedFallback, MultiGroupFallsBackToSerial) {
   config.shard_count = 2;
   config.groups.group_count = 4;
   core::System system(config);
-  EXPECT_FALSE(system.sharded());
+  EXPECT_EQ(system.shard_count(), 1u);
 }
 
 // -- shard engagement on the default (synthetic King) model --
@@ -164,8 +181,7 @@ TEST(ShardedSystem, KingModelShardsEngage) {
   config.latency = core::default_latency_model(5, 256);
   config.shard_count = 4;
   core::System system(config);
-  ASSERT_TRUE(system.sharded());
-  EXPECT_EQ(system.shard_count(), 4u);
+  ASSERT_EQ(system.shard_count(), 4u);
   EXPECT_GE(system.pdes_lookahead(), core::kPdesLookaheadFloor);
 }
 
@@ -222,8 +238,8 @@ TEST(ShardedScenario, KingModelInvariantAcrossShardCounts) {
 }
 
 TEST(ShardedScenario, SitePairRecordingRunsSerially) {
-  // The site-pair traffic map is shared, so System keeps such runs on the
-  // serial engine even where the model would shard (KingModelShardsEngage
+  // The site-pair traffic map is shared, so System keeps such runs on one
+  // shard even where the model would shard (KingModelShardsEngage
   // uses the same model). The harness leaves that decision to System: a
   // scenario asking for 4 shards must run and record exactly as 1 shard.
   auto latency = core::default_latency_model(5, 256);
@@ -234,7 +250,6 @@ TEST(ShardedScenario, SitePairRecordingRunsSerially) {
   config.shard_count = 4;
   config.net.record_site_pairs = true;
   core::System system(config);
-  EXPECT_FALSE(system.sharded());
   EXPECT_EQ(system.shard_count(), 1u);
 
   harness::ScenarioConfig c1 = small_scenario(1);
@@ -252,11 +267,8 @@ TEST(ShardedScenario, SitePairRecordingRunsSerially) {
 TEST(ShardedScenario, MatrixModelInvariantAcrossShardCounts) {
   // Hand-built 48-site matrix: every cross-site latency >= 2 ms (so the
   // lookahead clears the floor at any contiguous partitioning) and all the
-  // latencies into a given site are distinct, so no two cross-origin sends
-  // arrive at the same node at the same instant. One node per site for the
-  // same reason — exact arrival ties are the one regime where the legacy
-  // serial pop order (admission seq) and the sharded canonical order
-  // (origin, counter) may disagree; see DESIGN.md §11.
+  // latencies into a given site are distinct, one node per site. Exact
+  // arrival ties are covered by CoLocatedNodesTieAndStayInvariant.
   const std::size_t sites = 48;
   std::vector<float> matrix(sites * sites, 0.0f);
   for (std::size_t i = 0; i < sites; ++i) {
@@ -278,6 +290,68 @@ TEST(ShardedScenario, MatrixModelInvariantAcrossShardCounts) {
   auto r4 = harness::run_scenario(c4);
   EXPECT_GT(r1.deliveries, 0u);
   expect_identical(r1, r4);
+}
+
+TEST(ShardedScenario, CoLocatedNodesTieAndStayInvariant) {
+  // Four nodes per site: co-located nodes share the intra-site latency, so a
+  // message fanned out to one site's nodes arrives everywhere there at the
+  // same instant, and their forwards to a common site-mate tie again — the
+  // same-instant cross-origin ties the (origin, counter) order resolves the
+  // same way at every shard count.
+  auto latency = core::default_latency_model(5, 48);
+  harness::ScenarioConfig c1 = small_scenario(1);
+  c1.latency = latency;
+  harness::ScenarioConfig c4 = c1;
+  c4.shards = 4;
+  auto r1 = harness::run_scenario(c1);
+  auto r4 = harness::run_scenario(c4);
+  EXPECT_GT(r1.deliveries, 0u);
+  expect_identical(r1, r4);
+}
+
+TEST(ShardedScenario, InvariantCheckingStaysShardedAndInvariant) {
+  // The checker sweeps as a self-rescheduling control, so it no longer pins
+  // the run to one shard. A crash with maintenance frozen afterwards leaves
+  // the survivors holding dead neighbors, which the sweeps must report
+  // identically at every shard count.
+  auto run = [](std::size_t shards) {
+    core::SystemConfig config;
+    config.node_count = 96;
+    config.seed = 13;
+    config.latency = core::default_latency_model(13, 96);
+    config.shard_count = shards;
+    core::System system(config);
+    EXPECT_EQ(system.shard_count(), shards);
+    fault::InvariantChecker checker(system);
+    checker.start();
+    system.start();
+    system.run_until(70.0);
+    system.fail_random_fraction(0.3);
+    system.freeze_all();
+    system.run_until(100.0);
+    EXPECT_GT(checker.sweeps(), 0u);
+    std::vector<std::pair<SimTime, std::string>> out;
+    for (const fault::InvariantViolation& v : checker.violations()) {
+      out.emplace_back(v.at, v.what);
+    }
+    return out;
+  };
+  const auto v1 = run(1);
+  EXPECT_FALSE(v1.empty());
+  EXPECT_EQ(v1, run(4));
+
+  auto latency = core::default_latency_model(9, 256);
+  harness::ScenarioConfig c1 = small_scenario(1);
+  c1.seed = 9;
+  c1.latency = latency;
+  c1.check_invariants = true;
+  c1.fault_spec = "30.05:crash:frac=0.1";
+  harness::ScenarioConfig c4 = c1;
+  c4.shards = 4;
+  auto r1 = harness::run_scenario(c1);
+  auto r4 = harness::run_scenario(c4);
+  expect_identical(r1, r4);
+  EXPECT_EQ(r1.invariant_violations, r4.invariant_violations);
 }
 
 TEST(ShardedScenario, ChurnAndFaultsInvariantAcrossShardCounts) {
@@ -311,7 +385,7 @@ TEST(ShardedSystem, SerialWindowsMatchThreadedWindows) {
     config.shard_count = 4;
     config.pdes_serial = serial;
     core::System system(config);
-    EXPECT_TRUE(system.sharded());
+    EXPECT_EQ(system.shard_count(), 4u);
     system.start();
     system.run_until(20.0);
     for (std::size_t m = 0; m < 6; ++m) {

@@ -22,9 +22,10 @@ struct NullEndpoint final : Endpoint {
 };
 
 TEST(CountingTraceSink, CountsSendsDeliversDrops) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.01), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.01), config,
                   Rng(1));
   NullEndpoint a;
   NullEndpoint b;
@@ -51,10 +52,11 @@ TEST(CountingTraceSink, CountsSendsDeliversDrops) {
 }
 
 TEST(CountingTraceSink, AttributesRandomLossDrops) {
-  sim::Engine engine;
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.shard(0);
   NetworkConfig config;
   config.loss_probability = 0.5;
-  Network network(engine, std::make_shared<RingLatencyModel>(4, 0.01), config,
+  Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.01), config,
                   Rng(3));
   NullEndpoint a;
   NullEndpoint b;
@@ -101,8 +103,9 @@ TEST(CountingTraceSink, ObservesProtocolTrafficByKind) {
 TEST(CsvTraceSink, WritesRows) {
   std::string path = ::testing::TempDir() + "/trace_test.csv";
   {
-    sim::Engine engine;
-    Network network(engine, std::make_shared<RingLatencyModel>(4, 0.01),
+    sim::ShardedEngine sharded;
+    sim::Engine& engine = sharded.shard(0);
+    Network network(sharded, std::make_shared<RingLatencyModel>(4, 0.01),
                     NetworkConfig{}, Rng(1));
     NullEndpoint a;
     NullEndpoint b;

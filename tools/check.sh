@@ -14,8 +14,9 @@
 #                                  # (ext_multigroup --smoke) + an 8-process
 #                                  # gocastd --groups UDP run
 #   tools/check.sh pdes-smoke      # sharded-PDES determinism gate: 2k-node
-#                                  # scenario, shards=1 vs shards=4 delivery
-#                                  # checksums must be byte-identical
+#                                  # scenario at seeds 1, 2 and 6, shards=1 vs
+#                                  # shards=4 delivery checksums must be
+#                                  # byte-identical
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -218,28 +219,30 @@ if [[ "${1:-}" == "multigroup-smoke" ]]; then
 fi
 
 # pdes-smoke: the sharded-PDES determinism gate — the same 2048-node
-# scenario at shards=1 (the historical serial engine) and shards=4 (four
+# scenario at shards=1 (one shard, the serial run) and shards=4 (four
 # engines in conservative lookahead windows) must report byte-identical
-# delivery checksums. Any divergence is an ordering bug in the sharded
-# runtime (see DESIGN.md §11), never acceptable noise.
+# delivery checksums, at each of several seeds. Any divergence is an ordering
+# bug in the sharded runtime (see DESIGN.md §11), never acceptable noise.
 if [[ "${1:-}" == "pdes-smoke" ]]; then
   cmake -B "${root}/build" -S "${root}"
   cmake --build "${root}/build" -j "${jobs}" --target gocast_sim_cli
   bin="${root}/build/tools/gocast_sim"
   sim_args=(--nodes 2048 --messages 60 --warmup 60 --drain 10)
-  checksum() { # $1 = shard count
-    "${bin}" "${sim_args[@]}" --shards "$1" |
+  checksum() { # $1 = seed, $2 = shard count
+    "${bin}" "${sim_args[@]}" --seed "$1" --shards "$2" |
       sed -n 's/.*delivery checksum *| *\([0-9a-f]*\).*/\1/p'
   }
-  echo "=== pdes-smoke: 2048 nodes, shards=1 vs shards=4 ==="
-  sum1="$(checksum 1)"
-  sum4="$(checksum 4)"
-  echo "shards=1 checksum: ${sum1}"
-  echo "shards=4 checksum: ${sum4}"
-  if [[ -z "${sum1}" || "${sum1}" != "${sum4}" ]]; then
-    echo "FATAL: delivery checksums differ across shard counts" >&2
-    exit 1
-  fi
+  for seed in 1 2 6; do
+    echo "=== pdes-smoke: 2048 nodes, seed ${seed}, shards=1 vs shards=4 ==="
+    sum1="$(checksum "${seed}" 1)"
+    sum4="$(checksum "${seed}" 4)"
+    echo "shards=1 checksum: ${sum1}"
+    echo "shards=4 checksum: ${sum4}"
+    if [[ -z "${sum1}" || "${sum1}" != "${sum4}" ]]; then
+      echo "FATAL: delivery checksums differ across shard counts" >&2
+      exit 1
+    fi
+  done
   echo "=== pdes-smoke passed ==="
   exit 0
 fi
@@ -253,7 +256,7 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake --build "${root}/build-tsan" -j "${jobs}" --target gocast_tests fig4_scalability
   echo "=== tsan: runner unit tests ==="
   (cd "${root}/build-tsan" && ctest --output-on-failure \
-    -R 'Runner|Sweep|Parallel|DeriveJobSeed|EngineBatch')
+    -R 'Runner|Sweep|Parallel|DeriveJobSeed')
   echo "=== tsan: sharded-PDES tests ==="
   (cd "${root}/build-tsan" && ctest --output-on-failure \
     -R 'ScheduleAtOrdered|MinCrossPartition|Sharded')

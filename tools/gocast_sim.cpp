@@ -8,7 +8,6 @@
 //   gocast_sim --protocol gossip --fanout 5 --nodes 1024 --fail 0.2
 //   gocast_sim --protocol gocast --f 0.3 --csv run.csv --curve curve.csv
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -39,8 +38,7 @@ void usage() {
       "  --fanout    gossip fanout (baselines)                       [5]\n"
       "  --drain     seconds to run after the last injection         [30]\n"
       "  --shards    sharded-PDES engines (GoCast-family; results are\n"
-      "              byte-identical at any count — DESIGN.md §11);\n"
-      "              default from GOCAST_SHARDS                      [1]\n"
+      "              byte-identical at any count — DESIGN.md §11)    [1]\n"
       "  --faults    scripted fault plan (GoCast-family), e.g.\n"
       "              \"330:crash:frac=0.2; 400:partition:frac=0.3; 460:heal\"\n"
       "              or \"130:mute_forwarder:frac=0.1; 300:cure\"\n"
@@ -104,12 +102,7 @@ int main(int argc, char** argv) {
   config.fault_spec = args.get("faults", "");
   config.deferred_nodes = args.get_count("deferred", 0);
   config.check_invariants = args.get_bool("invariants", false);
-  long shards_default = 1;
-  if (const char* env = std::getenv("GOCAST_SHARDS"); env != nullptr) {
-    shards_default = std::atol(env);
-    if (shards_default < 1) shards_default = 1;
-  }
-  config.shards = args.get_count("shards", shards_default);
+  config.shards = args.get_count("shards", 1);
 
   std::cout << "running " << harness::protocol_name(config.protocol) << ", "
             << config.node_count << " nodes, " << config.message_count
