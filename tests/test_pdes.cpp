@@ -5,11 +5,13 @@
 // same-instant arrival ties, churn, scripted faults and invariant checking.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fault_behavior.h"
 #include "fault/invariant_checker.h"
 #include "gocast/system.h"
 #include "harness/scenario.h"
@@ -374,6 +376,108 @@ TEST(ShardedScenario, ChurnAndFaultsInvariantAcrossShardCounts) {
   ASSERT_EQ(r1.fault_log.size(), 2u);
   expect_identical(r1, r2);
   expect_identical(r1, r4);
+}
+
+// -- GC-path golden --
+
+struct GcRunResult {
+  std::uint64_t deliveries = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t delivery_checksum = 0;
+  std::uint64_t messages_sent = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t lost = 0;
+  std::size_t records_held = 0;
+  std::size_t gc_violations = 0;
+};
+
+GcRunResult run_gc_scenario(std::size_t shards) {
+  // Windows short enough that the run crosses many sweeps: payloads drop
+  // after 32 s (past the 30 s challenge-pull horizon, so honest nodes keep
+  // passing audits), records after 48 s, swept every 2 s. A digest liar plants
+  // payload-less records (and has them promoted when the real payload
+  // arrives), the base defenses fire challenge pulls, 3% loss drives pull
+  // recovery, and the invariant checker audits the store every sweep.
+  core::SystemConfig config;
+  config.node_count = 96;
+  config.seed = 17;
+  config.latency = core::default_latency_model(17, 96);
+  config.shard_count = shards;
+  config.net.loss_probability = 0.03;
+  config.node.defense = core::DefenseProfile::kBase;
+  config.node.dissemination.gc_payload_after = 32.0;
+  config.node.dissemination.gc_record_after = 48.0;
+  config.node.dissemination.gc_sweep_period = 2.0;
+  core::System system(config);
+  EXPECT_EQ(system.shard_count(), shards);
+  FaultBehavior liar;
+  liar.digest_liar = true;
+  system.node(11).set_fault_behavior(liar);
+
+  // Per-node logs: each node's deliveries run on its own shard, so no two
+  // threads ever append to the same vector.
+  std::vector<std::vector<std::uint64_t>> per_node(system.size());
+  system.set_delivery_hook([&per_node](const core::DeliveryEvent& e) {
+    per_node[e.node].push_back(e.id.packed());
+    per_node[e.node].push_back(std::bit_cast<std::uint64_t>(e.deliver_time));
+  });
+  fault::InvariantChecker checker(system);
+  checker.start();
+  system.start();
+  for (std::size_t m = 0; m < 240; ++m) {
+    system.schedule_control(25.0 + 0.125 * static_cast<double>(m), [&system] {
+      system.node(system.random_alive_node()).multicast(512);
+    });
+  }
+  system.run_until(110.0);
+
+  GcRunResult r;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (NodeId id = 0; id < system.size(); ++id) {
+    r.deliveries += system.node(id).deliveries_count();
+    r.duplicates += system.node(id).duplicates_count();
+    r.records_held += system.node(id).dissemination().store_size();
+    for (std::uint64_t v : per_node[id]) h = (h ^ v) * 0x100000001b3ULL;
+  }
+  r.delivery_checksum = h;
+  r.messages_sent = system.network().traffic().total_sent().messages;
+  r.bytes_sent = system.network().traffic().total_sent().bytes;
+  r.lost = system.network().traffic().lost();
+  for (const fault::InvariantViolation& v : checker.violations()) {
+    if (v.what.find("retains") != std::string::npos) ++r.gc_violations;
+  }
+  return r;
+}
+
+TEST(ShardedScenario, GcPathGoldenAtShardsOneAndFour) {
+  // Pinned golden for the store's GC path: the 512-node and defense goldens
+  // end before the default waiting period b, so neither reaches payload
+  // drops or record erases. Any drift here means GC behavior moved. Lossy
+  // runs draw their losses from a different stream once there is more than
+  // one shard (DESIGN.md §11), so each shard count has its own figures.
+  struct Golden {
+    std::size_t shards;
+    GcRunResult expect;
+  };
+  const Golden goldens[] = {
+      {1, {22977, 36170, 12733882814940711755ULL, 410687, 62335184, 12372}},
+      {4, {23032, 36831, 3517470215260978611ULL, 411315, 62745030, 12271}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.shards);
+    const GcRunResult r = run_gc_scenario(g.shards);
+    EXPECT_EQ(r.deliveries, g.expect.deliveries);
+    EXPECT_EQ(r.duplicates, g.expect.duplicates);
+    EXPECT_EQ(r.delivery_checksum, g.expect.delivery_checksum);
+    EXPECT_EQ(r.messages_sent, g.expect.messages_sent);
+    EXPECT_EQ(r.bytes_sent, g.expect.bytes_sent);
+    EXPECT_EQ(r.lost, g.expect.lost);
+    // Messages ended at 55 s: every record is older than 48 s by 110 s and
+    // was erased, and no audit found a payload or record held past its
+    // bound.
+    EXPECT_EQ(r.records_held, 0u);
+    EXPECT_EQ(r.gc_violations, 0u);
+  }
 }
 
 TEST(ShardedSystem, SerialWindowsMatchThreadedWindows) {
