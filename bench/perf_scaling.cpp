@@ -17,8 +17,11 @@
 // records the sweep_parallel section of BENCH_core.json.
 //
 // --mem-report appends a per-subsystem byte breakdown (engine slots,
-// membership views, message pool, digest store, overlay/tree trackers) to
-// the JSON, from System::memory_report(). With --groups G > 1 the
+// membership views, message pool, dissemination, overlay/tree trackers) to
+// the JSON, from System::memory_report(). The dissemination bytes are also
+// split into message store, digest backlog, pull trackers and the rest,
+// next to the live record count (store bytes / records = bytes per
+// record). With --groups G > 1 the
 // deployment is multi-group and the breakdown gains a per-group
 // dissemination+tree byte table ("group_bytes"), answering what each extra
 // group costs on top of the shared substrate.
@@ -368,14 +371,19 @@ int main(int argc, char** argv) {
         "    \"landmark_store_bytes\": %zu,\n"
         "    \"landmark_unique\": %zu,\n"
         "    \"dissemination_bytes\": %zu,\n"
+        "    \"dissemination_split\": {\"message_store\": %zu, "
+        "\"digest_backlog\": %zu, \"pull_pending\": %zu, \"other\": %zu},\n"
+        "    \"message_records\": %zu,\n"
         "    \"overlay_bytes\": %zu,\n"
         "    \"tree_bytes\": %zu,\n"
         "    \"accounted_total_bytes\": %zu\n"
         "  }",
         mem.engine_bytes, mem.network_bytes, mem.node_object_bytes,
         mem.view_bytes, mem.landmark_store_bytes, mem.landmark_unique,
-        mem.dissemination_bytes, mem.overlay_bytes, mem.tree_bytes,
-        mem.total_bytes());
+        mem.dissemination_bytes, mem.dissemination.store,
+        mem.dissemination.backlog, mem.dissemination.pulls,
+        mem.dissemination.other, mem.message_records, mem.overlay_bytes,
+        mem.tree_bytes, mem.total_bytes());
     if (!mem.group_bytes.empty()) {
       // Per-group dissemination+tree footprint (multi-group deployments):
       // group 0 is the universal group; extra rows are what each

@@ -74,7 +74,8 @@ DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
                                    DisseminationParams params,
                                    DefenseProfile defense, Rng rng,
                                    GroupId group,
-                                   SuspicionLedger* shared_suspicion)
+                                   SuspicionLedger* shared_suspicion,
+                                   std::shared_ptr<MessageTable> messages)
     : self_(self),
       rt_(rt),
       view_(view),
@@ -87,21 +88,17 @@ DisseminationT<RT>::DisseminationT(NodeId self, RT rt,
                                                     : &own_suspicion_),
       rng_(std::move(rng)),
       retry_rng_(rng_.fork_sparse("pull-retry")),
+      store_(std::move(messages)),
       gossip_timer_(rt_, params.gossip_period, [this] { on_gossip_timer(); }),
       gc_timer_(rt_, params.gc_sweep_period, [this] { gc_sweep(); }) {
   GOCAST_ASSERT(params_.gossip_period > 0.0);
   GOCAST_ASSERT(params_.pull_delay_threshold >= 0.0);
   GOCAST_ASSERT(params_.gc_record_after >= params_.gc_payload_after);
   GOCAST_ASSERT(params_.gossip_period_max >= params_.gossip_period);
-  // Flat tables sized for the common case, not the worst: pending_ holds one
-  // slot per overlay neighbor (degree target ~6), pull_pending_ a handful of
-  // in-flight recoveries, and the store grows deterministically toward the
-  // record-retention window when a run actually sustains traffic. Large
-  // deployments pay for what they use instead of 30+ KiB of empty table per
-  // node up front.
-  store_.reserve(32);
+  // pending_ holds one slot per overlay neighbor (degree target ~6); the
+  // store and the pull trackers grow with the traffic a run actually
+  // sustains, so large idle deployments pay nothing up front.
   pending_.reserve(8);
-  pull_pending_.reserve(16);
   piggyback_buf_.reserve(kPiggybackMembers + 1);
 }
 
@@ -124,6 +121,7 @@ void DisseminationT<RT>::deactivate() {
   // Drop transient per-run state; the store keeps already-delivered records
   // so a quick rejoin does not re-deliver old traffic as new.
   pull_pending_.clear();
+  pull_advertisers_.clear();
   for (auto& [peer, ids] : pending_) ids.clear();
 }
 
@@ -152,15 +150,11 @@ void DisseminationT<RT>::accept_message(MsgId id, SimTime inject_time,
                                         std::size_t payload_bytes,
                                         NodeId learned_from, DeliveryPath path) {
   const auto bytes = static_cast<std::uint32_t>(payload_bytes);
-  auto [it, inserted] =
-      store_.try_emplace(id, Stored{inject_time, rt_.now(), bytes, true, true});
-  if (!inserted) {
-    // Only a digest-liar can race its own fake (payload-less) record against
-    // a real arrival; promote the record instead of asserting.
-    it->second = Stored{inject_time, rt_.now(), bytes, true, true};
-  }
+  // Only a digest-liar can race its own fake (payload-less) record against a
+  // real arrival; the store promotes such a record instead of asserting.
+  store_.accept(id, inject_time, bytes, rt_.now());
   ++deliveries_;
-  pull_pending_.erase(id);
+  end_pull(id);
   if (suspicion_defenses()) recent_ids_.emplace_back(rt_.now(), id);
   // A clique peer just supplied a payload we relayed a pull for: answer the
   // parked requesters as if we had held it all along (never runs honest —
@@ -198,7 +192,7 @@ void DisseminationT<RT>::accept_message(MsgId id, SimTime inject_time,
   // Push without stop along remaining tree links (also after a pull: a
   // message entering a tree fragment floods the whole fragment, §2.1).
   if (params_.use_tree && tree_ != nullptr && !free_ride) {
-    forward_on_tree(id, it->second, learned_from);
+    forward_on_tree(id, inject_time, bytes, learned_from);
   }
 
   // Queue the ID for gossiping to every overlay neighbor except the one we
@@ -222,10 +216,11 @@ std::vector<MsgId>& DisseminationT<RT>::pending_slot(NodeId peer) {
 }
 
 template <runtime::Context RT>
-void DisseminationT<RT>::forward_on_tree(MsgId id, const Stored& stored,
+void DisseminationT<RT>::forward_on_tree(MsgId id, SimTime inject_time,
+                                         std::uint32_t payload_bytes,
                                          NodeId except) {
-  auto msg = rt_.template make<DataMsg>(id, stored.inject_time,
-                                        stored.payload_bytes, /*via_tree=*/true,
+  auto msg = rt_.template make<DataMsg>(id, inject_time, payload_bytes,
+                                        /*via_tree=*/true,
                                         overlay_.my_degrees(), group_);
   const std::vector<NodeId> peers = tree_->tree_neighbors();
   rt_.send_multi(self_, peers.data(), peers.size(), except, std::move(msg));
@@ -261,8 +256,8 @@ void DisseminationT<RT>::on_data(NodeId from, const DataMsg& msg) {
       if (sit != suspicion_ledger_->scores.end()) sit->second.score = 0.0;
     }
   }
-  auto it = store_.find(msg.id);
-  if (it != store_.end() && it->second.delivered) {
+  const std::uint32_t pos = store_.find(msg.id);
+  if (pos != MessageStore::kNone && store_.delivered(pos)) {
     // Redundant arrival — the paper's §2.1 "2% overhead" path. Optimization
     // (1) of §2.1: a real deployment aborts the transfer mid-stream, so the
     // payload bytes are not actually carried; we track them as savings.
@@ -330,23 +325,7 @@ void DisseminationT<RT>::on_gossip_timer() {
     }
   }
 
-  // A digest-liar advertises every record it knows of, including the fake
-  // payload-less ones it planted on hearing other digests.
-  const bool advertise_unheld = behavior_ != nullptr && behavior_->digest_liar;
-
-  digest_buf_.clear();
-  auto pending_it = pending_.find(target);
-  if (pending_it != pending_.end() && !pending_it->second.empty()) {
-    digest_buf_.reserve(pending_it->second.size());
-    for (MsgId id : pending_it->second) {
-      auto it = store_.find(id);
-      if (it == store_.end()) continue;
-      if (!it->second.payload_present && !advertise_unheld) continue;
-      digest_buf_.push_back(DigestEntry{id, it->second.inject_time});
-    }
-    pending_it->second.clear();  // keeps capacity for the next burst
-  }
-
+  drain_backlog(target);
   if (digest_buf_.empty() && params_.skip_empty_gossips) return;
 
   ++gossips_sent_;
@@ -366,21 +345,27 @@ const std::vector<DigestEntry>& DisseminationT<RT>::collect_digest_for(
   // send: the node-level multiplexer packs the result into one grouped
   // gossip alongside the other co-subscribed groups' sections. Gossip
   // MESSAGE counts are node-level in mux mode; entry counts stay per-group.
+  drain_backlog(target);
+  digest_entries_sent_ += digest_buf_.size();
+  return digest_buf_;
+}
+
+template <runtime::Context RT>
+void DisseminationT<RT>::drain_backlog(NodeId target) {
+  // A digest-liar advertises every record it knows of, including the fake
+  // payload-less ones it planted on hearing other digests.
   const bool advertise_unheld = behavior_ != nullptr && behavior_->digest_liar;
   digest_buf_.clear();
   auto pending_it = pending_.find(target);
-  if (pending_it != pending_.end() && !pending_it->second.empty()) {
-    digest_buf_.reserve(pending_it->second.size());
-    for (MsgId id : pending_it->second) {
-      auto it = store_.find(id);
-      if (it == store_.end()) continue;
-      if (!it->second.payload_present && !advertise_unheld) continue;
-      digest_buf_.push_back(DigestEntry{id, it->second.inject_time});
-    }
-    pending_it->second.clear();
+  if (pending_it == pending_.end() || pending_it->second.empty()) return;
+  digest_buf_.reserve(pending_it->second.size());
+  for (MsgId id : pending_it->second) {
+    const std::uint32_t pos = store_.find(id);
+    if (pos == MessageStore::kNone) continue;
+    if (!advertise_unheld && !store_.payload_held(pos)) continue;
+    digest_buf_.push_back(DigestEntry{id, store_.meta(pos).inject_time});
   }
-  digest_entries_sent_ += digest_buf_.size();
-  return digest_buf_;
+  pending_it->second.clear();  // keeps capacity for the next burst
 }
 
 template <runtime::Context RT>
@@ -482,10 +467,7 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
     for (std::size_t i = 0; i < count; ++i) {
       const DigestEntry& entry = entries[i];
       remove_from_pending(from, entry.id);
-      auto [it, fresh] = store_.try_emplace(
-          entry.id, Stored{entry.inject_time, now, 0, false, false});
-      (void)it;
-      if (!fresh) continue;
+      if (!store_.plant(entry.id, entry.inject_time, now)) continue;
       for (NodeId peer : rotation_) {
         if (peer != from) pending_slot(peer).push_back(entry.id);
       }
@@ -512,14 +494,14 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
     // The peer evidently knows this message: never gossip it back.
     remove_from_pending(from, entry.id);
 
-    if (store_.count(entry.id) > 0) continue;
+    if (store_.contains(entry.id)) continue;
     if (pull_pending_.count(entry.id) > 0) {
       // Pull already in flight; remember the alternate source so a retry
       // can escalate away from a non-answering target.
       if (suspicion_defenses()) note_advertiser(entry.id, from);
       continue;
     }
-    pull_pending_[entry.id] = PullState{from, now, 0, {}};
+    pull_pending_[entry.id] = PullState{now, from, 0};
 
     // Pull-delay threshold f: give the tree a head start before pulling.
     SimTime age = now - entry.inject_time;
@@ -528,8 +510,8 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
       issue_pull(from, entry.id);
     } else {
       rt_.schedule_after(delay, [this, from, id = entry.id] {
-        if (store_.count(id) > 0) {
-          pull_pending_.erase(id);  // the tree won the race
+        if (store_.contains(id)) {
+          end_pull(id);  // the tree won the race
           return;
         }
         if (!rt_.alive(self_)) return;
@@ -566,11 +548,17 @@ void DisseminationT<RT>::schedule_pull_retry(MsgId id) {
 }
 
 template <runtime::Context RT>
+void DisseminationT<RT>::end_pull(MsgId id) {
+  pull_pending_.erase(id);
+  if (!pull_advertisers_.empty()) pull_advertisers_.erase(id);
+}
+
+template <runtime::Context RT>
 void DisseminationT<RT>::on_pull_retry_timeout(MsgId id) {
   auto it = pull_pending_.find(id);
   if (it == pull_pending_.end()) return;  // satisfied
-  if (store_.count(id) > 0 || !rt_.alive(self_)) {
-    pull_pending_.erase(it);
+  if (store_.contains(id) || !rt_.alive(self_)) {
+    end_pull(id);
     return;
   }
   // The target was asked and produced nothing within the timeout — the one
@@ -583,12 +571,12 @@ void DisseminationT<RT>::on_pull_retry_timeout(MsgId id) {
   if (++it->second.attempts >= kPullMaxAttempts) {
     // Budget burned; a future digest may re-trigger the recovery.
     ++pull_retries_exhausted_;
-    pull_pending_.erase(it);
+    end_pull(id);
     return;
   }
   NodeId target = it->second.target;
   if (suspicion_defenses()) {
-    target = pick_escalation_target(it->second.advertisers, target);
+    target = pick_escalation_target(id, target);
     it->second.target = target;
   }
   issue_pull(target, id);
@@ -607,17 +595,18 @@ void DisseminationT<RT>::on_pull_request(NodeId from, const PullRequestMsg& msg)
   const bool colluding = behavior_ != nullptr && behavior_->clique != 0;
   for (MsgId id : msg.ids) {
     if (adversarial && id.origin != self_) continue;
-    auto it = store_.find(id);
-    if (it == store_.end() || !it->second.payload_present) {
+    const std::uint32_t pos = store_.find(id);
+    if (pos == MessageStore::kNone || !store_.payload_held(pos)) {
       // A clique member never lets a pull die: what it cannot serve itself
       // it relays to a clique peer and answers once the payload arrives —
       // the "answer challenge audits on each other's behalf" channel.
       if (colluding) relay_pull(from, id);
       continue;
     }
+    const MessageTable::Entry& meta = store_.meta(pos);
     rt_.send(self_, from,
-             rt_.template make<DataMsg>(id, it->second.inject_time,
-                                        it->second.payload_bytes,
+             rt_.template make<DataMsg>(id, meta.inject_time,
+                                        meta.payload_bytes,
                                         /*via_tree=*/false,
                                         overlay_.my_degrees(), group_));
   }
@@ -856,7 +845,7 @@ void DisseminationT<RT>::note_advertiser(MsgId id, NodeId peer) {
   auto it = pull_pending_.find(id);
   if (it == pull_pending_.end()) return;
   if (peer == it->second.target) return;
-  auto& advertisers = it->second.advertisers;
+  std::vector<NodeId>& advertisers = pull_advertisers_[id];
   if (std::find(advertisers.begin(), advertisers.end(), peer) ==
       advertisers.end()) {
     advertisers.push_back(peer);
@@ -864,13 +853,15 @@ void DisseminationT<RT>::note_advertiser(MsgId id, NodeId peer) {
 }
 
 template <runtime::Context RT>
-NodeId DisseminationT<RT>::pick_escalation_target(
-    const std::vector<NodeId>& advertisers, NodeId current) const {
+NodeId DisseminationT<RT>::pick_escalation_target(MsgId id,
+                                                  NodeId current) const {
   // Lowest suspicion wins; strict less-than keeps the earliest-recorded
   // advertiser on ties, so the choice is deterministic.
+  auto it = pull_advertisers_.find(id);
+  if (it == pull_advertisers_.end()) return current;
   NodeId best = kInvalidNode;
   double best_score = 0.0;
-  for (NodeId candidate : advertisers) {
+  for (NodeId candidate : it->second) {
     if (candidate == current) continue;
     double score = suspicion_score(candidate);
     if (best == kInvalidNode || score < best_score) {
@@ -901,20 +892,10 @@ template <runtime::Context RT>
 std::size_t DisseminationT<RT>::readvertise_recent() {
   // Messages whose payload is still held are exactly those younger than the
   // waiting period b — the ones the other side of a healed partition can
-  // still pull. Re-queue each for every current neighbor; dedup against the
-  // slot so a neighbor already waiting for the ID is not advertised twice.
-  // The ids are sorted before queuing: flat-map iteration order is a
-  // function of table capacity, and the queue order feeds digest order, so
-  // sorting keeps re-advertisement behavior independent of how the store
-  // happened to grow.
-  std::vector<MsgId> held;
-  held.reserve(store_.size());
-  for (const auto& [id, stored] : store_) {
-    if (stored.payload_present) held.push_back(id);
-  }
-  std::sort(held.begin(), held.end(), [](MsgId a, MsgId b) {
-    return a.origin != b.origin ? a.origin < b.origin : a.seq < b.seq;
-  });
+  // still pull. Re-queue each for every current neighbor, in id order; dedup
+  // against the slot so a neighbor already waiting for the ID is not
+  // advertised twice.
+  const std::vector<MsgId> held = store_.held_ids();
   std::size_t requeued = 0;
   for (MsgId id : held) {
     bool queued = false;
@@ -936,38 +917,21 @@ std::size_t DisseminationT<RT>::readvertise_recent() {
 
 template <runtime::Context RT>
 std::size_t DisseminationT<RT>::payloads_older_than(SimTime age) const {
-  SimTime now = rt_.now();
-  std::size_t count = 0;
-  for (const auto& [id, stored] : store_) {
-    if (stored.payload_present && now - stored.received_at > age) ++count;
-  }
-  return count;
+  return store_.payloads_older_than(rt_.now(), age);
 }
 
 template <runtime::Context RT>
 std::size_t DisseminationT<RT>::records_older_than(SimTime age) const {
-  SimTime now = rt_.now();
-  std::size_t count = 0;
-  for (const auto& [id, stored] : store_) {
-    if (now - stored.received_at > age) ++count;
-  }
-  return count;
+  return store_.records_older_than(rt_.now(), age);
 }
 
 template <runtime::Context RT>
 void DisseminationT<RT>::gc_sweep() {
   SimTime now = rt_.now();
-  for (auto it = store_.begin(); it != store_.end();) {
-    SimTime age = now - it->second.received_at;
-    if (age > params_.gc_record_after) {
-      it = store_.erase(it);
-      continue;
-    }
-    if (age > params_.gc_payload_after) it->second.payload_present = false;
-    ++it;
-  }
+  store_.gc(now, params_.gc_payload_after, params_.gc_record_after);
   for (auto it = pull_pending_.begin(); it != pull_pending_.end();) {
     if (now - it->second.started > params_.gc_payload_after) {
+      if (!pull_advertisers_.empty()) pull_advertisers_.erase(it->first);
       it = pull_pending_.erase(it);
     } else {
       ++it;
@@ -998,18 +962,8 @@ void DisseminationT<RT>::set_gossip_peers(const std::vector<NodeId>& peers) {
     }
     rotation_.push_back(peer);
     // A fresh peer may have missed everything we still hold: queue the held
-    // ids so the next digest to it advertises them. Sorted — flat-map
-    // iteration order is capacity-dependent and must not leak into digest
-    // order (see readvertise_recent).
-    if (held.empty()) {
-      held.reserve(store_.size());
-      for (const auto& [id, stored] : store_) {
-        if (stored.payload_present) held.push_back(id);
-      }
-      std::sort(held.begin(), held.end(), [](MsgId a, MsgId b) {
-        return a.origin != b.origin ? a.origin < b.origin : a.seq < b.seq;
-      });
-    }
+    // ids, in id order, so the next digest to it advertises them.
+    if (held.empty()) held = store_.held_ids();
     std::vector<MsgId>& slot = pending_slot(peer);
     for (MsgId id : held) {
       if (std::find(slot.begin(), slot.end(), id) == slot.end()) {
@@ -1047,33 +1001,38 @@ void DisseminationT<RT>::on_neighbor_removed(NodeId peer) {
 }
 
 template <runtime::Context RT>
-std::size_t DisseminationT<RT>::memory_bytes() const {
+DisseminationMemory DisseminationT<RT>::memory() const {
+  DisseminationMemory m;
+  m.store = store_.memory_bytes();
+
+  m.backlog = pending_.memory_bytes() +
+              spare_pending_.capacity() * sizeof(std::vector<MsgId>);
+  for (const auto& [peer, ids] : pending_) {
+    m.backlog += ids.capacity() * sizeof(MsgId);
+  }
+  for (const auto& ids : spare_pending_) {
+    m.backlog += ids.capacity() * sizeof(MsgId);
+  }
+
+  m.pulls = pull_pending_.memory_bytes() + pull_advertisers_.memory_bytes();
+  for (const auto& [id, advertisers] : pull_advertisers_) {
+    m.pulls += advertisers.capacity() * sizeof(NodeId);
+  }
+
   // A shared (node-global) suspicion ledger is accounted once by its owner,
   // not once per group.
-  std::size_t bytes = store_.memory_bytes() + pending_.memory_bytes() +
-                      pull_pending_.memory_bytes() +
-                      (suspicion_ledger_ == &own_suspicion_
-                           ? own_suspicion_.memory_bytes()
-                           : 0) +
-                      audit_pending_.memory_bytes() +
-                      clique_pending_.memory_bytes() +
-                      retry_rng_.memory_bytes();
-  for (const auto& [peer, ids] : pending_) {
-    bytes += ids.capacity() * sizeof(MsgId);
-  }
+  m.other = (suspicion_ledger_ == &own_suspicion_
+                 ? own_suspicion_.memory_bytes()
+                 : 0) +
+            audit_pending_.memory_bytes() + clique_pending_.memory_bytes() +
+            retry_rng_.memory_bytes() + rotation_.capacity() * sizeof(NodeId) +
+            recent_ids_.capacity() * sizeof(std::pair<SimTime, MsgId>) +
+            piggyback_buf_.capacity() * sizeof(membership::MemberEntry) +
+            digest_buf_.capacity() * sizeof(DigestEntry);
   for (const auto& [id, waiters] : clique_pending_) {
-    bytes += waiters.capacity() * sizeof(NodeId);
+    m.other += waiters.capacity() * sizeof(NodeId);
   }
-  for (const auto& [id, state] : pull_pending_) {
-    bytes += state.advertisers.capacity() * sizeof(NodeId);
-  }
-  for (const auto& ids : spare_pending_) bytes += ids.capacity() * sizeof(MsgId);
-  bytes += spare_pending_.capacity() * sizeof(std::vector<MsgId>);
-  bytes += rotation_.capacity() * sizeof(NodeId);
-  bytes += recent_ids_.capacity() * sizeof(std::pair<SimTime, MsgId>);
-  bytes += piggyback_buf_.capacity() * sizeof(membership::MemberEntry);
-  bytes += digest_buf_.capacity() * sizeof(DigestEntry);
-  return bytes;
+  return m;
 }
 
 template class DisseminationT<runtime::SimRuntime>;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "gocast/message_store.h"
 #include "gocast/messages.h"
 #include "gocast/params.h"
 #include "gocast/suspicion.h"
@@ -42,18 +44,39 @@ struct DeliveryEvent {
 
 using DeliveryHook = std::function<void(const DeliveryEvent&)>;
 
+/// Heap bytes of the dissemination layer by table (--mem-report).
+struct DisseminationMemory {
+  std::size_t store = 0;    ///< message store: arrival log + position index
+  std::size_t backlog = 0;  ///< per-neighbor pending ids + recycled vectors
+  std::size_t pulls = 0;    ///< in-flight pull trackers
+  std::size_t other = 0;    ///< suspicion/audit/clique trackers, scratch
+  [[nodiscard]] std::size_t total() const {
+    return store + backlog + pulls + other;
+  }
+  DisseminationMemory& operator+=(const DisseminationMemory& o) {
+    store += o.store;
+    backlog += o.backlog;
+    pulls += o.pulls;
+    other += o.other;
+    return *this;
+  }
+};
+
 template <runtime::Context RT>
 class DisseminationT final : public overlay::OverlayListener {
  public:
   /// `tree` may be null (gossip-only baselines). `group` scopes every
   /// outgoing message; `shared_suspicion` (multi-group nodes) points at the
   /// node-global ledger — when null, this instance keeps a private one.
+  /// `messages` is the shard's message-metadata table; when null the store
+  /// interns into a private one.
   DisseminationT(NodeId self, RT rt, membership::PartialView& view,
                  overlay::OverlayManagerT<RT>& overlay,
                  tree::TreeManagerT<RT>* tree, DisseminationParams params,
                  DefenseProfile defense, Rng rng,
                  GroupId group = kDefaultGroup,
-                 SuspicionLedger* shared_suspicion = nullptr);
+                 SuspicionLedger* shared_suspicion = nullptr,
+                 std::shared_ptr<MessageTable> messages = nullptr);
 
   void start(SimTime stagger);
   void stop();
@@ -123,7 +146,7 @@ class DisseminationT final : public overlay::OverlayListener {
   void on_neighbor_removed(NodeId peer) override;
 
   // -- queries / stats --
-  [[nodiscard]] bool has_message(MsgId id) const { return store_.count(id) > 0; }
+  [[nodiscard]] bool has_message(MsgId id) const { return store_.contains(id); }
   [[nodiscard]] std::size_t store_size() const { return store_.size(); }
   /// Stored payloads older than `age` seconds (since reception). The GC must
   /// reclaim payloads within b + one sweep; the invariant checker audits it.
@@ -179,39 +202,36 @@ class DisseminationT final : public overlay::OverlayListener {
   [[nodiscard]] const std::vector<membership::MemberEntry>& piggyback_members();
 
   /// Approximate heap bytes owned by the dissemination layer (message
-  /// store, per-neighbor queues, pull/suspicion/audit trackers, scratch).
-  [[nodiscard]] std::size_t memory_bytes() const;
+  /// store, per-neighbor queues, pull/suspicion/audit trackers, scratch),
+  /// by table. A shared message table is not included: System counts it
+  /// once per shard.
+  [[nodiscard]] DisseminationMemory memory() const;
+  [[nodiscard]] std::size_t memory_bytes() const { return memory().total(); }
 
  private:
-  struct Stored {
-    SimTime inject_time;
-    SimTime received_at;
-    /// u32, not size_t: halves nothing on its own, but together with the
-    /// packed flags it takes the store slot from 40 to 32 bytes — the digest
-    /// store is the largest per-node table at scale.
-    std::uint32_t payload_bytes;
-    bool payload_present;
-    /// False only for the payload-less records a digest liar plants: a real
-    /// arrival for such a record must still count as the first delivery.
-    bool delivered = true;
-  };
-  static_assert(sizeof(Stored) == 24);
-
   /// First receipt of a message from any path: store, deliver, push along
   /// tree links (except `learned_from`), and queue its ID for gossiping to
   /// every overlay neighbor except `learned_from`.
   void accept_message(MsgId id, SimTime inject_time, std::size_t payload_bytes,
                       NodeId learned_from, DeliveryPath path);
 
-  void forward_on_tree(MsgId id, const Stored& stored, NodeId except);
+  void forward_on_tree(MsgId id, SimTime inject_time,
+                       std::uint32_t payload_bytes, NodeId except);
   /// Shared body of on_gossip_digest and on_grouped_digest: the digest-liar
   /// plant path plus the per-entry sanity/dedup/pull-scheduling loop.
   void process_digest_entries(NodeId from, const DigestEntry* entries,
                               std::size_t count);
   void on_gossip_timer();
+  /// Fills digest_buf_ with `target`'s backlog of ids still worth
+  /// advertising (held payloads; a digest liar also advertises its plants)
+  /// and empties the backlog.
+  void drain_backlog(NodeId target);
   void gc_sweep();
   void issue_pull(NodeId target, MsgId id);
   void schedule_pull_retry(MsgId id);
+  /// Forgets an in-flight pull and any alternate advertisers recorded for
+  /// it.
+  void end_pull(MsgId id);
   void on_pull_retry_timeout(MsgId id);
   void remove_from_pending(NodeId neighbor, MsgId id);
   /// Adds `increment` to a peer's decayed suspicion score; evicts it from
@@ -246,11 +266,10 @@ class DisseminationT final : public overlay::OverlayListener {
   /// tracking) — and, while a pull for one of them is in flight, remembers
   /// the peer as an alternate source for escalation.
   void note_advertiser(MsgId id, NodeId peer);
-  /// Escalation: the best alternate advertiser for a timed-out pull
+  /// Escalation: the best alternate advertiser for a timed-out pull of `id`
   /// (lowest suspicion, earliest-recorded tie-break), or `current` when no
   /// alternate is known.
-  [[nodiscard]] NodeId pick_escalation_target(
-      const std::vector<NodeId>& advertisers, NodeId current) const;
+  [[nodiscard]] NodeId pick_escalation_target(MsgId id, NodeId current) const;
   /// The pending-ids vector for `peer`, creating it (from the recycle bin
   /// when possible) on first use.
   std::vector<MsgId>& pending_slot(NodeId peer);
@@ -283,7 +302,7 @@ class DisseminationT final : public overlay::OverlayListener {
   /// the piggyback-sampling stream. Sparse: most nodes never retry a pull.
   SparseRng retry_rng_;
 
-  common::FlatMap<MsgId, Stored> store_;
+  MessageStore store_;
   common::FlatMap<NodeId, std::vector<MsgId>> pending_;
   /// Capacity-preserving recycle bin for pending_ vectors of departed
   /// neighbors (swap-and-clear instead of erase/reinsert churn).
@@ -291,14 +310,16 @@ class DisseminationT final : public overlay::OverlayListener {
   std::vector<NodeId> rotation_;
   std::size_t rotation_idx_ = 0;
   struct PullState {
-    NodeId target = kInvalidNode;
     SimTime started = 0.0;
+    NodeId target = kInvalidNode;
     int attempts = 0;
-    /// Other neighbors that advertised the id while the pull was in flight
-    /// (escalation candidates; only filled while escalate_pulls is on).
-    std::vector<NodeId> advertisers;
   };
+  static_assert(sizeof(PullState) == 16);
   common::FlatMap<MsgId, PullState> pull_pending_;
+  /// Other neighbors that advertised an id while its pull was in flight:
+  /// the escalation candidates. Filled only under the suspicion defenses,
+  /// so honest runs keep it empty instead of paying a vector per pull.
+  common::FlatMap<MsgId, std::vector<NodeId>> pull_advertisers_;
 
   /// Parent data-silence watch: the tree parent under observation, and the
   /// last time it pushed any DataMsg (duplicates count — a parent pushing

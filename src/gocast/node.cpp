@@ -56,14 +56,14 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
     : id_(id),
       rt_(rt),
       config_(normalize_shared(std::move(config))),
-      view_(id, kViewCapacity, rng.fork("view"),
-            config_->landmark_store),
+      view_(id, kViewCapacity, rng.fork("view"), landmarks_of(*config_)),
       overlay_(id, rt_, view_, config_->overlay, rng.fork_sparse("overlay")),
       tree_(id, rt_, overlay_, config_->tree),
       dissemination_(id, rt_, view_, overlay_,
                      config_->tree.enabled ? &tree_ : nullptr,
                      config_->dissemination, config_->defense,
-                     rng.fork("dissemination"), kDefaultGroup, &suspicion_),
+                     rng.fork("dissemination"), kDefaultGroup, &suspicion_,
+                     messages_of(*config_)),
       own_landmarks_(membership::empty_landmarks()),
       group_rng_(rng.fork_sparse("multigroup")) {
   if (config_->defense == DefenseProfile::kFull) view_.enable_corroboration();

@@ -177,7 +177,8 @@ class GoCastNodeT final : public net::Endpoint {
         : tree(id, rt, overlay, config.tree, group),
           diss(id, rt, view, overlay, config.tree.enabled ? &tree : nullptr,
                config.dissemination, config.defense,
-               rng.fork("dissemination"), group, ledger),
+               rng.fork("dissemination"), group, ledger,
+               messages_of(config)),
           peer_rng(rng.fork("peers")) {}
     tree::TreeManagerT<RT> tree;
     DisseminationT<RT> diss;

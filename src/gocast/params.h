@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "gocast/message_store.h"
 #include "membership/landmark_store.h"
 #include "overlay/overlay_manager.h"
 #include "tree/tree_manager.h"
@@ -99,6 +100,15 @@ enum class DefenseProfile : std::uint8_t {
   kFull,
 };
 
+/// The interning tables every node on one engine shard shares: landmark
+/// vectors (partial views) and message metadata (dissemination stores).
+/// Single-threaded like the shard; values cross shards by value on the
+/// wire, never as handles.
+struct ShardTables {
+  membership::LandmarkStore landmarks;
+  MessageTable messages;
+};
+
 /// Everything one GoCast node needs.
 struct GoCastConfig {
   overlay::OverlayParams overlay;
@@ -131,10 +141,25 @@ struct GoCastConfig {
   /// Global landmark node ids used for triangulation estimates.
   std::vector<NodeId> landmarks;
 
-  /// Deployment-wide landmark-vector interning store shared by every node's
-  /// partial view (System fills this in; null makes each node intern
-  /// privately, which is correct but saves nothing).
-  std::shared_ptr<membership::LandmarkStore> landmark_store;
+  /// The shard's interning tables, shared by every node on the shard
+  /// (System fills this in; null makes each node intern privately, which is
+  /// correct but saves nothing).
+  std::shared_ptr<ShardTables> shard_tables;
 };
+
+/// The shard's landmark store, or null (the view then interns privately).
+[[nodiscard]] inline std::shared_ptr<membership::LandmarkStore> landmarks_of(
+    const GoCastConfig& config) {
+  if (config.shard_tables == nullptr) return nullptr;
+  return {config.shard_tables, &config.shard_tables->landmarks};
+}
+
+/// The shard's message table, or null (each dissemination instance then
+/// interns privately).
+[[nodiscard]] inline std::shared_ptr<MessageTable> messages_of(
+    const GoCastConfig& config) {
+  if (config.shard_tables == nullptr) return nullptr;
+  return {config.shard_tables, &config.shard_tables->messages};
+}
 
 }  // namespace gocast::core

@@ -99,14 +99,14 @@ System::System(SystemConfig config)
   std::uint64_t state = config_.seed ^ 0x70646573'64726177ULL;  // "pdesdraw"
   network_->assign_shards(std::move(shard_of), splitmix64(state));
 
-  // One landmark-interning store per shard — sharing across views is what
-  // collapses the duplicated member records (a node known to v views costs
-  // one 32-byte vector instead of v of them). The intern tables are
-  // single-threaded; landmark vectors cross shards by value on the wire,
-  // never as handles.
+  // One set of interning tables per shard — sharing is what collapses the
+  // duplicated member records (a node known to v views costs one 32-byte
+  // landmark vector instead of v of them) and the per-node copies of each
+  // message's metadata. The tables are single-threaded; values cross shards
+  // by value on the wire, never as handles.
   shard_stores_.resize(engine_->shard_count());
-  for (auto& store : shard_stores_) {
-    store = std::make_shared<membership::LandmarkStore>();
+  for (auto& tables : shard_stores_) {
+    tables = std::make_shared<ShardTables>();
   }
   // Landmarks: the first k nodes (the bootstrap set a deployment would use).
   GoCastConfig node_config = config_.node;
@@ -121,13 +121,13 @@ System::System(SystemConfig config)
   GOCAST_ASSERT(config_.deferred_nodes < config_.node_count - 1);
 
   // Uniform deployments share one immutable config per shard (the copies
-  // differ only in landmark_store); capacity-aware ones need a per-node copy
+  // differ only in shard_tables); capacity-aware ones need a per-node copy
   // for the scaled degree target.
   std::vector<std::shared_ptr<const GoCastConfig>> shard_configs;
   if (!config_.capacity_of) {
-    for (const auto& store : shard_stores_) {
+    for (const auto& tables : shard_stores_) {
       GoCastConfig copy = node_config;
-      copy.landmark_store = store;
+      copy.shard_tables = tables;
       shard_configs.push_back(std::make_shared<const GoCastConfig>(copy));
     }
   }
@@ -144,7 +144,7 @@ System::System(SystemConfig config)
           std::lround(node_config.overlay.target_near_degree * capacity));
       GoCastConfig scaled_config = node_config;
       scaled_config.overlay.target_near_degree = std::max(1, scaled);
-      scaled_config.landmark_store = shard_stores_[shard];
+      scaled_config.shard_tables = shard_stores_[shard];
       this_config = std::make_shared<const GoCastConfig>(scaled_config);
     } else {
       this_config = shard_configs[shard];
@@ -353,7 +353,8 @@ System::MemoryReport System::memory_report() const {
   std::map<GroupId, std::size_t> per_group;
   for (const auto& node : nodes_) {
     report.view_bytes += node->view().memory_bytes();
-    report.dissemination_bytes += node->dissemination().memory_bytes();
+    report.dissemination += node->dissemination().memory();
+    report.message_records += node->dissemination().store_size();
     report.overlay_bytes += node->overlay().memory_bytes();
     report.tree_bytes += node->tree().memory_bytes();
     if (directory_ != nullptr) {
@@ -363,17 +364,20 @@ System::MemoryReport System::memory_report() const {
         const DisseminationT<runtime::SimRuntime>* diss =
             node->dissemination_for(g);
         tree::TreeManager* tree = node->tree_for(g);
-        report.dissemination_bytes += diss->memory_bytes();
+        report.dissemination += diss->memory();
+        report.message_records += diss->store_size();
         report.tree_bytes += tree->memory_bytes();
         per_group[g] += diss->memory_bytes() + tree->memory_bytes();
       }
     }
   }
   report.group_bytes.assign(per_group.begin(), per_group.end());
-  for (const auto& shard_store : shard_stores_) {
-    report.landmark_store_bytes += shard_store->memory_bytes();
-    report.landmark_unique += shard_store->unique_count();
+  for (const auto& tables : shard_stores_) {
+    report.landmark_store_bytes += tables->landmarks.memory_bytes();
+    report.landmark_unique += tables->landmarks.unique_count();
+    report.dissemination.store += tables->messages.memory_bytes();
   }
+  report.dissemination_bytes = report.dissemination.total();
   return report;
 }
 

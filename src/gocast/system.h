@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "gocast/group_directory.h"
 #include "gocast/node.h"
-#include "membership/landmark_store.h"
 #include "net/latency_model.h"
 #include "net/network.h"
 #include "sim/sharded_engine.h"
@@ -174,7 +173,13 @@ class System {
     std::size_t view_bytes = 0;            ///< membership views (all nodes)
     std::size_t landmark_store_bytes = 0;  ///< shared interning store
     std::size_t landmark_unique = 0;       ///< distinct vectors interned
-    std::size_t dissemination_bytes = 0;   ///< digest store + trackers
+    /// Dissemination layer, all parts of `dissemination` summed.
+    std::size_t dissemination_bytes = 0;
+    /// The same bytes by table: message stores (per-node arrival logs and
+    /// position indexes plus the shard message tables), digest backlogs,
+    /// pull trackers, and the rest.
+    DisseminationMemory dissemination;
+    std::size_t message_records = 0;       ///< live store records (all nodes)
     std::size_t overlay_bytes = 0;         ///< neighbor/pending tables
     std::size_t tree_bytes = 0;            ///< children + distance caches
     /// Multi-group runs: (group id, tree+dissemination bytes summed over all
@@ -200,10 +205,10 @@ class System {
   std::shared_ptr<const net::LatencyModel> latency_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::unique_ptr<net::Network> network_;
-  /// One landmark-interning store per shard (the store's intern tables are
-  /// single-threaded; entries cross shards by value on the wire, so stores
-  /// never share handles).
-  std::vector<std::shared_ptr<membership::LandmarkStore>> shard_stores_;
+  /// One set of interning tables (landmark vectors, message metadata) per
+  /// shard: the tables are single-threaded, and values cross shards by
+  /// value on the wire, so shards never share handles.
+  std::vector<std::shared_ptr<ShardTables>> shard_stores_;
   std::vector<std::unique_ptr<GoCastNode>> nodes_;
   std::shared_ptr<GroupDirectory> directory_;
   bool started_ = false;

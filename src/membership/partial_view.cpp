@@ -20,83 +20,18 @@ PartialView::PartialView(NodeId self, std::size_t capacity, Rng rng,
   // node's outgrown buffers (~half the final footprint) stranded in the
   // allocator as fragmentation no large run ever gets back.
   entries_.reserve(capacity_);
-  // Table sized for capacity_ entries at <= 7/8 load, fixed for the view's
-  // lifetime.
-  std::size_t slots = 4;
-  while (slots * 7 < (capacity_ + 1) * 8) slots <<= 1;
-  index_.assign(slots, kEmptySlot);
-  index_mask_ = slots - 1;
-}
-
-std::uint32_t PartialView::lookup(NodeId id) const {
-  std::size_t i = probe_start(id);
-  for (;;) {
-    std::uint32_t s = index_[i];
-    if (s == kEmptySlot) return kEmptySlot;
-    if (s != kDeadSlot && entries_[s].id == id) return s;
-    i = (i + 1) & index_mask_;
-  }
+  // Index sized for capacity_ entries, fixed for the view's lifetime.
+  index_.reset_for(capacity_);
 }
 
 void PartialView::index_insert(NodeId id, std::uint32_t pos) {
-  if ((entries_.size() + index_dead_ + 1) * 8 > index_.size() * 7) {
-    index_rebuild();
-  }
-  std::size_t i = probe_start(id);
-  for (;;) {
-    std::uint32_t s = index_[i];
-    if (s == kEmptySlot || s == kDeadSlot) {
-      if (s == kDeadSlot) --index_dead_;
-      index_[i] = pos;
-      return;
-    }
-    if (entries_[s].id == id) {
-      // Already mapped: the eviction path overwrites the victim entry
-      // before re-indexing it, so a rebuild triggered just above has
-      // indexed the new id already. Inserting again would leave a
-      // duplicate slot that later turns into a stale alias.
-      index_[i] = pos;
-      return;
-    }
-    i = (i + 1) & index_mask_;
-  }
+  index_.insert(hash_of(id), pos,
+                [&](std::uint32_t p) { return hash_of(entries_[p].id); });
 }
 
 void PartialView::index_erase(NodeId id) {
-  std::size_t i = probe_start(id);
-  for (;;) {
-    std::uint32_t s = index_[i];
-    if (s == kEmptySlot) return;
-    if (s != kDeadSlot && entries_[s].id == id) {
-      index_[i] = kDeadSlot;
-      ++index_dead_;
-      return;
-    }
-    i = (i + 1) & index_mask_;
-  }
-}
-
-void PartialView::index_update(NodeId id, std::uint32_t pos) {
-  std::size_t i = probe_start(id);
-  for (;;) {
-    std::uint32_t s = index_[i];
-    GOCAST_ASSERT(s != kEmptySlot);
-    if (s != kDeadSlot && entries_[s].id == id) {
-      index_[i] = pos;
-      return;
-    }
-    i = (i + 1) & index_mask_;
-  }
-}
-
-void PartialView::index_rebuild() {
-  std::fill(index_.begin(), index_.end(), kEmptySlot);
-  index_dead_ = 0;
-  for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
-    std::size_t i = probe_start(entries_[pos].id);
-    while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
-    index_[i] = pos;
-  }
+  index_.erase(hash_of(id),
+               [&](std::uint32_t p) { return entries_[p].id == id; });
 }
 
 PartialView::~PartialView() {
@@ -108,7 +43,7 @@ void PartialView::insert(const MemberEntry& entry) {
   if (entry.id == self_ || entry.id == kInvalidNode) return;
 
   std::uint32_t pos = lookup(entry.id);
-  if (pos != kEmptySlot) {
+  if (pos != common::PositionIndex::kNone) {
     CompactEntry& existing = entries_[pos];
     if (entry.heard_at >= existing.heard_at) {
       // Intern before releasing: a refresh with the same vector just bumps
@@ -150,7 +85,7 @@ void PartialView::integrate_from(NodeId from,
   std::size_t budget = max_new == 0 ? entries.size() : max_new;
   for (const MemberEntry& e : entries) {
     if (e.id == self_ || e.id == kInvalidNode) continue;
-    if (lookup(e.id) == kEmptySlot) {
+    if (lookup(e.id) == common::PositionIndex::kNone) {
       if (budget == 0) continue;  // diversity cap: this advertiser is done
       --budget;
     }
@@ -160,7 +95,7 @@ void PartialView::integrate_from(NodeId from,
 
 void PartialView::insert_tracked(const MemberEntry& entry, NodeId from) {
   if (corroborate_) {
-    if (lookup(entry.id) == kEmptySlot) {
+    if (lookup(entry.id) == common::PositionIndex::kNone) {
       // First sighting: remember who vouched. (A node advertising itself
       // counts as its own first voucher — corroboration needs a second,
       // distinct one.)
@@ -178,26 +113,28 @@ void PartialView::insert_tracked(const MemberEntry& entry, NodeId from) {
 void PartialView::remove(NodeId id) {
   if (corroborate_) first_advertiser_.erase(id);
   std::uint32_t pos = lookup(id);
-  if (pos == kEmptySlot) return;
+  if (pos == common::PositionIndex::kNone) return;
   std::uint32_t last = static_cast<std::uint32_t>(entries_.size() - 1);
   store_->release(entries_[pos].lm);
   index_erase(id);
   if (pos != last) {
     NodeId moved = entries_[last].id;
     entries_[pos] = entries_[last];
-    index_update(moved, pos);
+    index_.update(hash_of(moved),
+                  [&](std::uint32_t p) { return entries_[p].id == moved; },
+                  pos);
   }
   entries_.pop_back();
   if (cursor_ > entries_.size()) cursor_ = 0;
 }
 
 bool PartialView::contains(NodeId id) const {
-  return lookup(id) != kEmptySlot;
+  return lookup(id) != common::PositionIndex::kNone;
 }
 
 std::optional<MemberEntry> PartialView::find(NodeId id) const {
   std::uint32_t pos = lookup(id);
-  if (pos == kEmptySlot) return std::nullopt;
+  if (pos == common::PositionIndex::kNone) return std::nullopt;
   return entry_at(pos);
 }
 
@@ -240,7 +177,7 @@ NodeId PartialView::next_round_robin() {
 
 std::size_t PartialView::memory_bytes() const {
   return entries_.capacity() * sizeof(CompactEntry) +
-         index_.capacity() * sizeof(std::uint32_t) +
+         index_.memory_bytes() +
          first_advertiser_.memory_bytes();
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/position_index.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "membership/landmark_store.h"
@@ -140,33 +141,28 @@ class PartialView {
   };
   static_assert(sizeof(CompactEntry) == 16);
 
-  // The id->position index is a bare open-addressed table of u32 positions
-  // into entries_ (4 bytes per slot; the key lives in the entry it points
-  // at). The view is capacity-bounded, so the table is sized once in the
-  // constructor and never grows; erase leaves tombstones that an in-place
-  // O(table) rebuild sweeps out when they crowd the probe chains. Lookup
-  // results are pure set semantics — probe layout is invisible to protocol
-  // behavior.
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kDeadSlot = 0xFFFFFFFEu;
-
-  [[nodiscard]] std::size_t probe_start(NodeId id) const {
+  // The id->position index (common::PositionIndex): u32 positions into
+  // entries_ with a hash tag per slot; the key lives in the entry a slot
+  // points at. The view is capacity-bounded, so the table is sized once in
+  // the constructor and never grows. Lookup results are pure set semantics
+  // — probe layout is invisible to protocol behavior.
+  [[nodiscard]] static std::uint64_t hash_of(NodeId id) {
     std::uint64_t x = id;
     x *= 0x9E3779B97F4A7C15ull;
     x ^= x >> 32;
-    return static_cast<std::size_t>(x) & index_mask_;
+    return x;
   }
-  /// Position of `id` in entries_, or kEmptySlot when absent.
-  [[nodiscard]] std::uint32_t lookup(NodeId id) const;
+  /// Position of `id` in entries_, or PositionIndex::kNone when absent.
+  [[nodiscard]] std::uint32_t lookup(NodeId id) const {
+    return index_.find(hash_of(id),
+                       [&](std::uint32_t pos) { return entries_[pos].id == id; });
+  }
   /// insert() with advertiser attribution (corroboration bookkeeping).
   void insert_tracked(const MemberEntry& entry, NodeId from);
   /// Records `id` (which must be absent) at position `pos`.
   void index_insert(NodeId id, std::uint32_t pos);
   /// Tombstones `id`'s slot; no-op when absent.
   void index_erase(NodeId id);
-  /// Repoints `id`'s existing slot at a new position (swap-pop moves).
-  void index_update(NodeId id, std::uint32_t pos);
-  void index_rebuild();
 
   NodeId self_;
   std::size_t capacity_;
@@ -178,9 +174,7 @@ class PartialView {
   /// record is dropped when it leaves the view.
   common::FlatMap<NodeId, NodeId> first_advertiser_;
   std::vector<CompactEntry> entries_;
-  std::vector<std::uint32_t> index_;
-  std::size_t index_mask_ = 0;
-  std::size_t index_dead_ = 0;
+  common::PositionIndex index_;
   std::size_t cursor_ = 0;
 };
 

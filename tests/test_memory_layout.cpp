@@ -3,7 +3,7 @@
 // PartialView position-table index under insert/remove churn, the pinned
 // 512-node determinism goldens that the layout changes must not move by a
 // byte, the node-object bound and promoted-stream accounting of sparse RNG
-// streams, and a 32k-node construction smoke proving the startup path stays
+// streams, the dissemination byte split, and a 32k-node construction smoke proving the startup path stays
 // free of O(n^2) work at real scale.
 #include <gtest/gtest.h>
 
@@ -242,6 +242,42 @@ TEST(MemoryLayout, MemoryReportCountsPromotedSparseStream) {
   const std::size_t promoted = sizeof(std::mt19937_64);
   EXPECT_EQ(after.overlay_bytes, before.overlay_bytes + promoted);
   EXPECT_EQ(after.total_bytes(), before.total_bytes() + promoted);
+}
+
+TEST(MemoryLayout, DisseminationSplitSumsToTotal) {
+  // The dissemination bytes are reported whole (perfbench reads the total)
+  // and by table; the parts must account for every byte of the total, and
+  // a run that carried traffic has a non-empty store in both shard layouts.
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    core::SystemConfig config;
+    config.node_count = 64;
+    config.seed = 8;
+    config.latency = core::default_latency_model(8, 64);
+    config.shard_count = shards;
+    core::System system(config);
+    system.start();
+    system.run_until(20.0);
+    for (std::size_t m = 0; m < 8; ++m) {
+      system.schedule_control(20.0 + 0.5 * static_cast<double>(m), [&system] {
+        system.node(system.random_alive_node()).multicast(256);
+      });
+    }
+    system.run_until(30.0);
+    const auto mem = system.memory_report();
+    EXPECT_EQ(mem.dissemination_bytes, mem.dissemination.store +
+                                           mem.dissemination.backlog +
+                                           mem.dissemination.pulls +
+                                           mem.dissemination.other);
+    EXPECT_GT(mem.dissemination.store, 0u);
+    EXPECT_GT(mem.dissemination.other, 0u);
+    EXPECT_EQ(mem.message_records, 64u * 8u);
+    std::size_t per_node = 0;
+    for (NodeId id = 0; id < system.size(); ++id) {
+      per_node += system.node(id).dissemination().memory_bytes();
+    }
+    // The shard message tables are the only store bytes no node owns.
+    EXPECT_GT(mem.dissemination_bytes, per_node);
+  }
 }
 
 TEST(MemoryLayoutGoldens, Construct32kNodesAndWarmStart) {
