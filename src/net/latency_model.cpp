@@ -206,46 +206,37 @@ std::unique_ptr<MatrixLatencyModel> make_synthetic_king(
   }
 
   // Raw latencies (ms): distance + both access delays, times symmetric
-  // jitter. The jitter stream is drawn serially in pair order — the single
-  // RNG consumer, so the matrix stays byte-identical to the historical
-  // all-serial generator — one block of rows at a time, and each block's
-  // arithmetic is row-sharded across worker threads: row i owns every pair
-  // (i, j) with j > i (both mirror cells in the rescale pass), so writes are
-  // disjoint and the result is a pure function of the seed at any thread
-  // count. Per-row sums are reduced in row order for the same reason.
-  // Drawing per block bounds the jitter buffer to one block's pairs (under
-  // 2 MB at 1740 sites) instead of all n(n-1)/2 of them (12 MB).
+  // jitter. The jitter stream is drawn serially in pair order first — the
+  // single RNG consumer, so the matrix stays byte-identical to the
+  // historical all-serial generator — then the arithmetic is row-sharded
+  // across worker threads: row i owns every pair (i, j) with j > i (both
+  // mirror cells in the rescale pass), so writes are disjoint and the
+  // result is a pure function of the seed at any thread count. Per-row sums
+  // are reduced in row order for the same reason.
   const std::size_t pairs = n * (n - 1) / 2;
+  std::vector<double> jitters(pairs);
+  for (double& j : jitters) {
+    j = rng.next_range(params.jitter_min, params.jitter_max);
+  }
   // Flat index of row i's first pair (i, i+1) in the pair-ordered stream.
   auto row_offset = [n](std::size_t i) { return i * (2 * n - i - 1) / 2; };
-  constexpr std::size_t kRowsPerBlock = 128;
 
   std::vector<float> matrix(n * n, 0.0f);
   std::vector<double> row_sum(n, 0.0);
-  std::vector<double> jitters;
-  for (std::size_t first = 0; first < n; first += kRowsPerBlock) {
-    const std::size_t last = std::min(n, first + kRowsPerBlock);
-    const std::size_t base = row_offset(first);
-    jitters.resize(row_offset(last) - base);
-    for (double& j : jitters) {
-      j = rng.next_range(params.jitter_min, params.jitter_max);
+  parallel_for(n, params.threads, [&](std::size_t i) {
+    const double* row_jitter = jitters.data() + row_offset(i);
+    double sum = 0.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double dx = xs[i] - xs[j];
+      double dy = ys[i] - ys[j];
+      double dist = std::sqrt(dx * dx + dy * dy);
+      double jitter = row_jitter[j - i - 1];
+      double ms = (dist + access_ms[i] + access_ms[j]) * jitter;
+      matrix[i * n + j] = static_cast<float>(ms);
+      sum += ms;
     }
-    parallel_for(last - first, params.threads, [&](std::size_t r) {
-      const std::size_t i = first + r;
-      const double* row_jitter = jitters.data() + (row_offset(i) - base);
-      double sum = 0.0;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        double dx = xs[i] - xs[j];
-        double dy = ys[i] - ys[j];
-        double dist = std::sqrt(dx * dx + dy * dy);
-        double jitter = row_jitter[j - i - 1];
-        double ms = (dist + access_ms[i] + access_ms[j]) * jitter;
-        matrix[i * n + j] = static_cast<float>(ms);
-        sum += ms;
-      }
-      row_sum[i] = sum;
-    });
-  }
+    row_sum[i] = sum;
+  });
   double sum_ms = 0.0;
   for (std::size_t i = 0; i < n; ++i) sum_ms += row_sum[i];
 
