@@ -43,6 +43,15 @@ UdpRuntime::UdpRuntime(UdpConfig config)
       anchor_(std::chrono::steady_clock::now()),
       frame_(net::PayloadAllocator<std::uint8_t>(pool_)),
       base_rng_(Rng(config_.seed).fork("udp.nodes")) {
+  if (config_.epoch_unix > 0.0) {
+    // The shared epoch is read off CLOCK_REALTIME once; from then on the
+    // clock advances with steady_clock, so an NTP step or a manual change
+    // of the realtime clock can never move now() backwards.
+    timespec ts{};
+    clock_gettime(CLOCK_REALTIME, &ts);
+    anchor_time_ = (static_cast<double>(ts.tv_sec) - config_.epoch_unix) +
+                   static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
   recv_buf_.resize(wire::kMaxFrameBytes + 1);  // +1 detects oversized frames
 
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -111,15 +120,10 @@ void UdpRuntime::add_peer(NodeId id, const std::string& host,
 }
 
 SimTime UdpRuntime::now() const {
-  if (config_.epoch_unix > 0.0) {
-    timespec ts{};
-    clock_gettime(CLOCK_REALTIME, &ts);
-    return (static_cast<double>(ts.tv_sec) - config_.epoch_unix) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+  return anchor_time_ +
+         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        anchor_)
-      .count();
+             .count();
 }
 
 sim::EventId UdpRuntime::schedule_after(SimTime delay, sim::InlineCallback cb) {

@@ -23,9 +23,12 @@
 //     to config.send_retry_limit, then reported as a failure.
 //
 // Clock: wall seconds since construction (steady clock), or — when
-// config.epoch_unix is set — CLOCK_REALTIME seconds since that shared
-// epoch, which lets a launcher hand every process the same time base so
-// piggybacked age estimates line up across the deployment. Ages, not
+// config.epoch_unix is set — seconds since that shared epoch, which lets a
+// launcher hand every process the same time base so piggybacked age
+// estimates line up across the deployment. The epoch offset is read off
+// CLOCK_REALTIME once, at construction; after that the clock advances with
+// steady_clock in both modes, so it never runs backwards (the message
+// store's arrival log and the timer queue rely on that). Ages, not
 // absolute instants, cross the wire either way (see wire/codec.h).
 //
 // Shutdown: watch_stop_flag() points the reactor at an async-signal-safe
@@ -77,8 +80,8 @@ struct UdpConfig {
   /// RTT oracle fallback for links the protocol has not measured yet.
   SimTime assumed_rtt = 0.001;
 
-  /// Shared CLOCK_REALTIME epoch (unix seconds) for the clock; 0 anchors
-  /// a steady clock at construction instead.
+  /// Shared epoch (unix seconds): the clock starts at CLOCK_REALTIME minus
+  /// the epoch and then advances with steady_clock. 0 starts it at 0.
   double epoch_unix = 0.0;
 
   /// sendto() EAGAIN/ENOBUFS retries (50 us backoff each) before the send
@@ -212,6 +215,7 @@ class UdpRuntime {
   int epfd_ = -1;
   std::uint16_t port_ = 0;
   std::chrono::steady_clock::time_point anchor_;
+  SimTime anchor_time_ = 0.0;  ///< now() at anchor_
   sim::Engine queue_;
   std::shared_ptr<net::MessageArena> pool_ =
       std::make_shared<net::MessageArena>();

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "gocast/node.h"
@@ -83,6 +84,52 @@ TEST(UdpRuntime, CancelPreventsFiring) {
   EXPECT_FALSE(rt.cancel(id));
   EXPECT_EQ(rt.run_for(0.05), 0u);
   EXPECT_FALSE(fired);
+}
+
+// With a shared epoch the clock starts at "realtime minus epoch" and then
+// advances with steady_clock, so two runtimes handed the same epoch agree
+// and a realtime step (NTP, a manual change) cannot move now() backwards:
+// the message store's arrival log asserts exactly that. A step cannot be
+// made here without changing the machine's clock, so the test pins the
+// construction: the epoch offset, agreement across runtimes, and
+// steady-clock advance.
+TEST(UdpRuntime, EpochClockIsSharedAndSteady) {
+  using Steady = std::chrono::steady_clock;
+  const double realtime = std::chrono::duration<double>(
+                              std::chrono::system_clock::now()
+                                  .time_since_epoch())
+                              .count();
+  UdpConfig config = loopback_config(1);
+  config.epoch_unix = realtime - 1000.0;
+  UdpRuntime a(config);
+  config.self = 2;
+  UdpRuntime b(config);
+
+  const SimTime start = a.now();
+  EXPECT_GT(start, 999.0);
+  EXPECT_LT(start, 1010.0);
+  EXPECT_NEAR(a.now(), b.now(), 0.5);
+
+  SimTime prev = a.now();
+  for (int i = 0; i < 10000; ++i) {
+    const SimTime t = a.now();
+    ASSERT_GE(t, prev);
+    prev = t;
+  }
+
+  const auto before = Steady::now();
+  const SimTime t0 = a.now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const SimTime t1 = a.now();
+  const double outer =
+      std::chrono::duration<double>(Steady::now() - before).count();
+  EXPECT_GE(t1 - t0, 0.02);
+  EXPECT_LE(t1 - t0, outer);
+
+  // Without an epoch the clock starts at 0.
+  UdpRuntime local(loopback_config(3));
+  EXPECT_GE(local.now(), 0.0);
+  EXPECT_LT(local.now(), 10.0);
 }
 
 TEST(UdpRuntime, DatagramsCrossBetweenTwoRuntimes) {
