@@ -107,6 +107,7 @@ void MessageStore::append(MessageTable::Handle handle, std::uint32_t flags,
   // The log must stay in received_at order: GC pops it from the front.
   GOCAST_ASSERT(count_ == 0 || now >= received(at(count_ - 1)));
   GOCAST_ASSERT(count_ < kPosMask - kChunkRecords);
+  if (count_ == words_.size()) grow_words();
   const std::uint32_t pos = at(count_);
   if ((pos & (kChunkRecords - 1)) == 0) {
     // The tail enters a fresh chunk. A slot still taken holds the head's
@@ -135,6 +136,17 @@ void MessageStore::grow_ring() {
   }
   chunks_.swap(grown);
   slot_mask_ = mask;
+}
+
+void MessageStore::grow_words() {
+  std::vector<std::uint32_t> grown(
+      std::max<std::size_t>(kChunkRecords, words_.size() * 2));
+  const auto mask = static_cast<std::uint32_t>(grown.size() - 1);
+  for (std::size_t k = 0; k < count_; ++k) {
+    grown[at(k) & mask] = word(at(k));
+  }
+  words_.swap(grown);
+  word_mask_ = mask;
 }
 
 void MessageStore::pop_front() {
@@ -200,6 +212,7 @@ std::size_t MessageStore::memory_bytes() const {
   for (const auto& chunk : chunks_) chunks += chunk != nullptr ? 1 : 0;
   return chunks * sizeof(Chunk) +
          chunks_.capacity() * sizeof(std::unique_ptr<Chunk>) +
+         words_.capacity() * sizeof(std::uint32_t) +
          index_.memory_bytes() +
          (private_table_ ? table_->memory_bytes() : 0);
 }

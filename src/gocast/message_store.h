@@ -9,18 +9,21 @@
 //    message, so System keeps one table per engine shard (beside the
 //    landmark store, in ShardTables) and each node stores a handle.
 //  - MessageStore is one node's records, kept in arrival order (the
-//    arrival log: received_at plus handle|flags, 12 bytes a record, in
-//    fixed 64-record chunks on a ring), with an id -> log-position index
-//    (common::PositionIndex, 4 bytes a slot) for lookups.
+//    arrival log: received_at in fixed 64-record chunks on a ring, and
+//    handle|flags in a ring of 4-byte words), with an id -> log-position
+//    index (common::PositionIndex, 4 bytes a slot) for lookups. A lookup
+//    hit reads an index slot, a word and the table entry.
 //
 // Exactness. A record's received_at is the node's clock at insertion, and
-// the clock never runs backwards on either runtime, so the log is sorted by
-// received_at. GC by age therefore pops records from the front and moves a
-// payload cursor forward — the records it passes are exactly those a full
-// table scan would have picked. The one record that changes after insertion
-// is a digest liar's planted one (payload-less, undelivered): when the real
-// payload arrives, the record is tombstoned in place and re-appended at the
-// tail with the new received_at, which keeps the log sorted.
+// the clock never runs backwards on either runtime (engine time; under UDP
+// steady_clock time, its epoch offset read off the realtime clock only at
+// construction), so the log is sorted by received_at. GC by age therefore
+// pops records from the front and moves a payload cursor forward — the
+// records it passes are exactly those a full table scan would have picked.
+// The one record that changes after insertion is a digest liar's planted
+// one (payload-less, undelivered): when the real payload arrives, the
+// record is tombstoned in place and re-appended at the tail with the new
+// received_at, which keeps the log sorted.
 //
 // Both tables are single-threaded, like everything else on one shard;
 // records cross shards by value on the wire, never as handles.
@@ -145,13 +148,17 @@ class MessageStore {
   static constexpr std::uint32_t kHandleMask = kPlanted - 1;
 
   // The log is a sequence of positions counted modulo 2^23 (below
-  // PositionIndex::kMaxPosition), split into 64-record chunks. Chunk
-  // number c lives in ring slot c & slot_mask_; the ring doubles when the
-  // log would wrap onto its own head, which moves chunk pointers but never
-  // a record, so positions — and the index — stay valid for a record's
-  // lifetime. Chunks are allocated as the tail enters them and freed as the
-  // head leaves them: fixed-size blocks, so the log never strands the
-  // outgrown buffers a doubling array leaves behind.
+  // PositionIndex::kMaxPosition). Position p's word lives at p & word_mask_
+  // in words_, a power-of-two ring that doubles when the log fills it; a
+  // lookup hit reads it straight after the index slot. received_at, read
+  // only by appends, GC and the audit scans, lives in 64-record chunks:
+  // chunk number c sits in ring slot c & slot_mask_, and that ring doubles
+  // when the log would wrap onto its own head. Doubling either ring re-places
+  // entries by position, so positions — and the index — stay valid for a
+  // record's lifetime. Chunks are allocated as the tail enters them and
+  // freed as the head leaves them: fixed-size blocks, so the 8-byte times,
+  // two thirds of the log, never strand the outgrown buffers a doubling
+  // array leaves behind.
   static constexpr std::uint32_t kChunkBits = 6;
   static constexpr std::uint32_t kChunkRecords = 1u << kChunkBits;
   static constexpr std::uint32_t kPosMask = (1u << 23) - 1;
@@ -159,7 +166,6 @@ class MessageStore {
 
   struct Chunk {
     SimTime received[kChunkRecords];
-    std::uint32_t words[kChunkRecords];  // handle | kPlanted | kRetired
   };
 
   [[nodiscard]] static std::uint64_t hash_of(MsgId id) {
@@ -171,8 +177,11 @@ class MessageStore {
   [[nodiscard]] SimTime& received(std::uint32_t pos) const {
     return chunk(pos).received[pos & (kChunkRecords - 1)];
   }
-  [[nodiscard]] std::uint32_t& word(std::uint32_t pos) const {
-    return chunk(pos).words[pos & (kChunkRecords - 1)];
+  [[nodiscard]] std::uint32_t word(std::uint32_t pos) const {
+    return words_[pos & word_mask_];
+  }
+  [[nodiscard]] std::uint32_t& word(std::uint32_t pos) {
+    return words_[pos & word_mask_];
   }
   /// Position of the record `offset` places behind the head.
   [[nodiscard]] std::uint32_t at(std::size_t offset) const {
@@ -184,12 +193,15 @@ class MessageStore {
   void append(MessageTable::Handle handle, std::uint32_t flags, SimTime now);
   void pop_front();
   void grow_ring();
+  void grow_words();
 
   bool private_table_;
   std::shared_ptr<MessageTable> table_;
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< ring of chunk slots
   std::unique_ptr<Chunk> spare_;  ///< one emptied chunk, kept for reuse
   std::size_t slot_mask_ = 0;
+  std::vector<std::uint32_t> words_;  ///< handle | kPlanted | kRetired
+  std::uint32_t word_mask_ = 0;
   std::uint32_t head_ = 0;   ///< position of the oldest entry
   std::size_t count_ = 0;    ///< log entries, retired ones included
   std::size_t dropped_ = 0;  ///< leading entries whose payload was dropped

@@ -5,6 +5,7 @@
 // table, the per-record byte budget, and the position index on its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -183,6 +184,29 @@ TEST(MessageStore, MatchesFlatTableModelUnderRandomOperations) {
   for (MessageTable::Handle h = 0; h < table->slot_count(); ++h) {
     EXPECT_EQ(table->refcount(h), 0u) << "handle " << h;
   }
+}
+
+TEST(MessageStore, LogGrowsWhileItsHeadMoves) {
+  // Doubling the log's rings re-places live entries by position. The
+  // record window here widens as time passes, so the log keeps growing
+  // while GC keeps moving its head: every doubling happens with the oldest
+  // live record far from position 0.
+  MessageStore store;
+  ReferenceStore ref;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    const SimTime now = static_cast<double>(i);
+    const MsgId id{1, i};
+    store.accept(id, 0.5, 256, now);
+    ref.accept(id, 0.5, 256, now);
+    store.gc(now, 0.25 * now, 0.5 * now);
+    ref.gc(now, 0.25 * now, 0.5 * now);
+    ASSERT_EQ(store.size(), ref.size()) << "step " << i;
+    for (std::uint32_t j = i / 2 - std::min(i / 2, 2u); j <= i; ++j) {
+      expect_same(store, ref, MsgId{1, j});
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(store.held_ids(), ref.held_ids());
 }
 
 TEST(MessageStore, PromotedPlantMovesToTheTail) {
