@@ -30,7 +30,10 @@
 // (DESIGN.md §11). The JSON gains "shards" (requested), "effective_shards"
 // (after fallbacks) and a deterministic "checksum" over per-node delivery
 // counters plus traffic totals — identical at every shard count, which
-// tools/bench.sh asserts when it records the pdes_scaling section.
+// tools/bench.sh asserts when it records the pdes_scaling section. With more
+// than one effective shard it also reports "pdes_windows" and, per shard,
+// "shard_timing": the seconds its thread was busy (events, mail drain,
+// controls) and waited at the window barrier (pdes.barrier_wait).
 //
 // --curve runs one single-run point per node count (default 8k/32k/128k/512k,
 // sim horizon scaled down as the deployment grows) and emits a JSON array of
@@ -43,15 +46,17 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "gocast/system.h"
+#include "harness/args.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
 
@@ -210,79 +215,46 @@ int run_curve_mode(const std::vector<std::size_t>& point_nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t nodes = 8192;
-  double sim_seconds = 60.0;
-  std::size_t messages = 50;
-  std::uint64_t seed = 1;
-  bool sweep = false;
-  std::size_t threads = 0;
-  std::size_t reps = 8;
-  bool nodes_set = false;
-  bool mem_report = false;
-  std::size_t groups = 1;
-  std::size_t shards = 1;
-  bool curve = false;
-  std::vector<std::size_t> curve_points{8192, 32768, 131072, 524288};
-
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--nodes") == 0) {
-      nodes = static_cast<std::size_t>(std::strtoull(need_value("--nodes"), nullptr, 10));
-      nodes_set = true;
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      sim_seconds = std::strtod(need_value("--seconds"), nullptr);
-    } else if (std::strcmp(argv[i], "--messages") == 0) {
-      messages = static_cast<std::size_t>(std::strtoull(need_value("--messages"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(std::strtoull(need_value("--threads"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = static_cast<std::size_t>(std::strtoull(need_value("--reps"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--mem-report") == 0) {
-      mem_report = true;
-    } else if (std::strcmp(argv[i], "--groups") == 0) {
-      groups = static_cast<std::size_t>(
-          std::strtoull(need_value("--groups"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<std::size_t>(
-          std::strtoull(need_value("--shards"), nullptr, 10));
-      if (shards == 0) shards = 1;
-    } else if (std::strcmp(argv[i], "--curve") == 0) {
-      curve = true;
-    } else if (std::strcmp(argv[i], "--curve-points") == 0) {
-      curve_points.clear();
-      for (const char* s = need_value("--curve-points"); *s != '\0';) {
-        char* end = nullptr;
-        curve_points.push_back(
-            static_cast<std::size_t>(std::strtoull(s, &end, 10)));
-        s = (*end == ',') ? end + 1 : end;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--nodes N] [--seconds S] [--messages M] "
-                   "[--seed X] [--mem-report] [--shards K] "
-                   "[--sweep [--threads T] "
-                   "[--reps R]] [--curve [--curve-points N1,N2,...]]\n",
-                   argv[0]);
-      return 2;
-    }
+  // Every numeric flag goes through Args: values with trailing characters,
+  // out of range or (for counts) negative are errors, so "--shards -3" stops
+  // the run instead of wrapping to 2^64-3 shards.
+  const gocast::harness::Args args(
+      argc, argv,
+      {"nodes", "seconds", "messages", "seed", "sweep", "threads", "reps",
+       "mem-report", "groups", "shards", "curve", "curve-points"});
+  if (!args.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: %s [--nodes N] [--seconds S] [--messages M] "
+                 "[--seed X] [--mem-report] [--shards K] "
+                 "[--sweep [--threads T] "
+                 "[--reps R]] [--curve [--curve-points N1,N2,...]]\n",
+                 argv[0]);
+    return 2;
   }
+  const std::size_t nodes = args.get_count("nodes", 8192);
+  const double sim_seconds = args.get_double("seconds", 60.0);
+  GOCAST_ASSERT_MSG(std::isfinite(sim_seconds) && sim_seconds > 0.0,
+                    "--seconds must be positive, got " << sim_seconds);
+  const std::size_t messages = args.get_count("messages", 50);
+  const std::uint64_t seed = args.get_count("seed", 1);
+  const bool sweep = args.get_bool("sweep", false);
+  const std::size_t threads = args.get_count("threads", 0);
+  const std::size_t reps = args.get_count("reps", 8);
+  const bool mem_report = args.get_bool("mem-report", false);
+  const std::size_t groups = args.get_count("groups", 1);
+  const std::size_t shards =
+      std::max<std::size_t>(args.get_count("shards", 1), 1);
+  const bool curve = args.get_bool("curve", false);
+  const std::vector<std::size_t> curve_points =
+      args.get_counts("curve-points", {8192, 32768, 131072, 524288});
 
   if (curve) return run_curve_mode(curve_points, seed);
 
   if (sweep) {
     // The sweep replications are deliberately small so serial-vs-parallel
     // wall clock measures pool overhead, not one giant run.
-    return run_sweep_mode(threads, reps, nodes_set ? nodes : 256, seed);
+    return run_sweep_mode(threads, reps, args.has("nodes") ? nodes : 256,
+                          seed);
   }
 
   using namespace gocast;
@@ -359,6 +331,19 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(pool.reused),
       static_cast<unsigned long long>(pool.fresh),
       static_cast<unsigned long long>(pool.oversized), pool.chunks);
+  if (sim::ShardedEngine* sharded = system.sharded_engine();
+      sharded->shard_count() > 1) {
+    // Where each shard's thread spent the run: executing its window's events
+    // (and draining its mail) versus waiting at the barrier for the others.
+    std::printf(",\n  \"pdes_windows\": %llu,\n  \"shard_timing\": [",
+                static_cast<unsigned long long>(sharded->windows()));
+    for (std::size_t k = 0; k < sharded->shard_count(); ++k) {
+      const sim::ShardedEngine::ShardTiming t = sharded->timing(k);
+      std::printf("%s{\"busy_s\": %.3f, \"barrier_wait_s\": %.3f}",
+                  k == 0 ? "" : ", ", t.busy_s, t.barrier_wait_s);
+    }
+    std::printf("]");
+  }
   if (mem_report) {
     const auto mem = system.memory_report();
     std::printf(

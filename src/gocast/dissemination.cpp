@@ -199,20 +199,9 @@ void DisseminationT<RT>::accept_message(MsgId id, SimTime inject_time,
   // heard the message from.
   if (!free_ride) {
     for (NodeId peer : rotation_) {
-      if (peer != learned_from) pending_slot(peer).push_back(id);
+      if (peer != learned_from) pending_[peer].push_back(id);
     }
   }
-}
-
-template <runtime::Context RT>
-std::vector<MsgId>& DisseminationT<RT>::pending_slot(NodeId peer) {
-  auto [it, fresh] = pending_.try_emplace(peer);
-  if (fresh && !spare_pending_.empty()) {
-    // Recycle the capacity of a departed neighbor's vector.
-    it->second = std::move(spare_pending_.back());
-    spare_pending_.pop_back();
-  }
-  return it->second;
 }
 
 template <runtime::Context RT>
@@ -469,7 +458,7 @@ void DisseminationT<RT>::process_digest_entries(NodeId from,
       remove_from_pending(from, entry.id);
       if (!store_.plant(entry.id, entry.inject_time, now)) continue;
       for (NodeId peer : rotation_) {
-        if (peer != from) pending_slot(peer).push_back(entry.id);
+        if (peer != from) pending_[peer].push_back(entry.id);
       }
     }
     return;
@@ -900,7 +889,7 @@ std::size_t DisseminationT<RT>::readvertise_recent() {
   for (MsgId id : held) {
     bool queued = false;
     for (NodeId peer : rotation_) {
-      std::vector<MsgId>& slot = pending_slot(peer);
+      std::vector<MsgId>& slot = pending_[peer];
       if (std::find(slot.begin(), slot.end(), id) != slot.end()) continue;
       slot.push_back(id);
       queued = true;
@@ -937,6 +926,18 @@ void DisseminationT<RT>::gc_sweep() {
       ++it;
     }
   }
+  // A burst leaves each backlog at its peak capacity, and draining keeps
+  // it: give back the buffers of the ones that are empty now.
+  for (auto& [peer, ids] : pending_) {
+    if (ids.empty()) std::vector<MsgId>().swap(ids);
+  }
+}
+
+template <runtime::Context RT>
+std::size_t DisseminationT<RT>::backlog_capacity() const {
+  std::size_t ids = 0;
+  for (const auto& [peer, backlog] : pending_) ids += backlog.capacity();
+  return ids;
 }
 
 // ---------------------------------------------------------------------------
@@ -945,8 +946,8 @@ void DisseminationT<RT>::gc_sweep() {
 
 template <runtime::Context RT>
 void DisseminationT<RT>::set_gossip_peers(const std::vector<NodeId>& peers) {
-  // Departed peers first: recycles their pending capacity through the same
-  // path an overlay neighbor loss takes.
+  // Departed peers first, through the same path an overlay neighbor loss
+  // takes (it drops their backlogs).
   for (std::size_t i = rotation_.size(); i-- > 0;) {
     NodeId peer = rotation_[i];
     if (std::find(peers.begin(), peers.end(), peer) == peers.end()) {
@@ -964,7 +965,7 @@ void DisseminationT<RT>::set_gossip_peers(const std::vector<NodeId>& peers) {
     // A fresh peer may have missed everything we still hold: queue the held
     // ids, in id order, so the next digest to it advertises them.
     if (held.empty()) held = store_.held_ids();
-    std::vector<MsgId>& slot = pending_slot(peer);
+    std::vector<MsgId>& slot = pending_[peer];
     for (MsgId id : held) {
       if (std::find(slot.begin(), slot.end(), id) == slot.end()) {
         slot.push_back(id);
@@ -990,14 +991,7 @@ void DisseminationT<RT>::on_neighbor_removed(NodeId peer) {
     if (rotation_idx_ > idx) --rotation_idx_;
   }
   if (collusion_defenses()) suspicion_ledger_->cover.erase(peer);
-  auto pit = pending_.find(peer);
-  if (pit != pending_.end()) {
-    // Swap-and-clear: park the vector's capacity for the next neighbor
-    // instead of freeing and reallocating it on every overlay change.
-    pit->second.clear();
-    spare_pending_.push_back(std::move(pit->second));
-    pending_.erase(pit);
-  }
+  pending_.erase(peer);
 }
 
 template <runtime::Context RT>
@@ -1005,14 +999,7 @@ DisseminationMemory DisseminationT<RT>::memory() const {
   DisseminationMemory m;
   m.store = store_.memory_bytes();
 
-  m.backlog = pending_.memory_bytes() +
-              spare_pending_.capacity() * sizeof(std::vector<MsgId>);
-  for (const auto& [peer, ids] : pending_) {
-    m.backlog += ids.capacity() * sizeof(MsgId);
-  }
-  for (const auto& ids : spare_pending_) {
-    m.backlog += ids.capacity() * sizeof(MsgId);
-  }
+  m.backlog = pending_.memory_bytes() + backlog_capacity() * sizeof(MsgId);
 
   m.pulls = pull_pending_.memory_bytes() + pull_advertisers_.memory_bytes();
   for (const auto& [id, advertisers] : pull_advertisers_) {

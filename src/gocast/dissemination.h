@@ -47,7 +47,7 @@ using DeliveryHook = std::function<void(const DeliveryEvent&)>;
 /// Heap bytes of the dissemination layer by table (--mem-report).
 struct DisseminationMemory {
   std::size_t store = 0;    ///< message store: arrival log + position index
-  std::size_t backlog = 0;  ///< per-neighbor pending ids + recycled vectors
+  std::size_t backlog = 0;  ///< per-neighbor pending ids
   std::size_t pulls = 0;    ///< in-flight pull trackers
   std::size_t other = 0;    ///< suspicion/audit/clique trackers, scratch
   [[nodiscard]] std::size_t total() const {
@@ -101,7 +101,7 @@ class DisseminationT final : public overlay::OverlayListener {
   /// with (the overlay keeps pruning toward its own degree targets, so
   /// group-connectivity links would not survive there). Newly added peers
   /// get every still-held message id queued so they can pull history;
-  /// departed peers' backlogs are recycled.
+  /// departed peers' backlogs are dropped.
   void set_gossip_peers(const std::vector<NodeId>& peers);
   [[nodiscard]] const std::vector<NodeId>& gossip_peers() const {
     return rotation_;
@@ -182,6 +182,9 @@ class DisseminationT final : public overlay::OverlayListener {
   [[nodiscard]] std::size_t pull_pending_size() const {
     return pull_pending_.size();
   }
+  /// Ids the digest backlogs have room for (allocated, not queued): zero
+  /// once a GC sweep has found every backlog drained.
+  [[nodiscard]] std::size_t backlog_capacity() const;
   /// Current (decay-adjusted) suspicion score for a peer; 0 when unknown or
   /// suspicion tracking is disabled.
   [[nodiscard]] double suspicion_score(NodeId peer) const;
@@ -270,9 +273,6 @@ class DisseminationT final : public overlay::OverlayListener {
   /// (lowest suspicion, earliest-recorded tie-break), or `current` when no
   /// alternate is known.
   [[nodiscard]] NodeId pick_escalation_target(MsgId id, NodeId current) const;
-  /// The pending-ids vector for `peer`, creating it (from the recycle bin
-  /// when possible) on first use.
-  std::vector<MsgId>& pending_slot(NodeId peer);
 
   NodeId self_;
   RT rt_;
@@ -303,10 +303,9 @@ class DisseminationT final : public overlay::OverlayListener {
   SparseRng retry_rng_;
 
   MessageStore store_;
+  /// Digest backlog: ids not yet advertised to each gossip peer. The GC
+  /// sweep frees the buffers of empty ones.
   common::FlatMap<NodeId, std::vector<MsgId>> pending_;
-  /// Capacity-preserving recycle bin for pending_ vectors of departed
-  /// neighbors (swap-and-clear instead of erase/reinsert churn).
-  std::vector<std::vector<MsgId>> spare_pending_;
   std::vector<NodeId> rotation_;
   std::size_t rotation_idx_ = 0;
   struct PullState {

@@ -1,5 +1,6 @@
 #include "gocast/system.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -39,11 +40,20 @@ std::shared_ptr<const net::LatencyModel> default_latency_model(
 std::vector<std::uint32_t> System::init_sharding() {
   const std::size_t sites = latency_->site_count();
   const std::size_t shards = std::min(config_.shard_count, sites);
-  // Contiguous site ranges: site s -> shard s*K/S. Nodes are placed on sites
-  // round-robin, so the shards stay balanced in node count as well.
+  // Contiguous site ranges, cut at cumulative node counts: a site goes to
+  // the shard whose share of the n nodes holds the midpoint of its own
+  // nodes. Nodes sit on site id mod S (Network::add_nodes_round_robin), so
+  // when S does not divide n the low sites hold one node more; cutting by
+  // site count would leave the top shard short (at n = 1,024 and S = 1,740
+  // almost empty). Each cut lands within half a site of its ideal place.
+  const std::size_t n = config_.node_count;
   std::vector<std::uint32_t> site_shard(sites);
+  std::size_t nodes_before = 0;  // nodes on sites < s
   for (std::size_t s = 0; s < sites; ++s) {
-    site_shard[s] = static_cast<std::uint32_t>(s * shards / sites);
+    const std::size_t here = n / sites + (s < n % sites ? 1 : 0);
+    site_shard[s] = static_cast<std::uint32_t>(
+        std::min(shards - 1, (2 * nodes_before + here) * shards / (2 * n)));
+    nodes_before += here;
   }
   SimTime lookahead = kNever;
   // Why the requested layout cannot run; empty when it can.

@@ -65,25 +65,48 @@ double Args::get_double(const std::string& name, double fallback) const {
   return v;
 }
 
-long Args::get_int(const std::string& name, long fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const char* text = it->second.c_str();
+namespace {
+
+long parse_int(const std::string& name, const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  long v = std::strtol(text, &end, 10);
-  GOCAST_ASSERT_MSG(end != text && *end == '\0' && errno != ERANGE,
-                    "bad integer for --" << name << ": '" << it->second
-                                         << "'");
+  long v = std::strtol(text.c_str(), &end, 10);
+  GOCAST_ASSERT_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
+                    "bad integer for --" << name << ": '" << text << "'");
   return v;
+}
+
+std::size_t parse_count(const std::string& name, const std::string& text) {
+  long v = parse_int(name, text);
+  GOCAST_ASSERT_MSG(v >= 0, "--" << name << " must not be negative, got " << v);
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
+long Args::get_int(const std::string& name, long fallback) const {
+  auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_int(name, it->second);
 }
 
 std::size_t Args::get_count(const std::string& name,
                             std::size_t fallback) const {
-  if (!has(name)) return fallback;
-  long v = get_int(name, 0);
-  GOCAST_ASSERT_MSG(v >= 0, "--" << name << " must not be negative, got " << v);
-  return static_cast<std::size_t>(v);
+  auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_count(name, it->second);
+}
+
+std::vector<std::size_t> Args::get_counts(
+    const std::string& name, std::vector<std::size_t> fallback) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  std::vector<std::size_t> counts;
+  const std::string& text = it->second;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    counts.push_back(parse_count(name, text.substr(begin, comma - begin)));
+    if (comma == text.size()) return counts;
+    begin = comma + 1;
+  }
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {

@@ -26,6 +26,10 @@ class Args {
   /// a wrap to a huge unsigned count.
   [[nodiscard]] std::size_t get_count(const std::string& name,
                                       std::size_t fallback) const;
+  /// A comma-separated list of counts ("8192,32768"); each element is
+  /// checked as get_count checks one value.
+  [[nodiscard]] std::vector<std::size_t> get_counts(
+      const std::string& name, std::vector<std::size_t> fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.

@@ -6,8 +6,9 @@
 // executes in that window can only schedule onto ANOTHER shard at
 // >= t_next + lookahead (the lookahead is the minimum cross-shard transit
 // latency, guaranteed by the caller). Cross-shard admissions travel through
-// per-(src,dst) mailboxes that are drained into the destination engines at the
-// window barrier, on the coordinating thread, before the next window begins.
+// per-(src,dst) mailboxes; after each window every destination shard moves
+// its own inbound column into its engine, so no thread drains for the
+// others.
 //
 // Determinism (the headline contract): mailbox entries carry an explicit
 // ordering key supplied by the caller, and land in the destination heap via
@@ -29,17 +30,28 @@
 // no mailboxes and no barriers. Every simulated run uses this class; there
 // is no other event order.
 //
-// Threading: a persistent pool of K-1 workers plus the calling thread (which
-// runs shard 0). All shared state hands over at the barrier mutex, so the
-// structure is TSan-clean by construction; `serial` runs every window on the
-// calling thread for debugging, with identical results.
+// Threading: K-1 persistent workers plus the calling thread (which runs
+// shard 0 and fires the controls). Every thread runs the same window loop
+// (run_windows): drain its own mailbox column, publish its engine's next
+// event time, meet the others at a barrier, compute the next window edge
+// from the published times, run its shard up to it, meet again. Nothing
+// between two windows is serial except the controls. The barrier is a
+// generation counter that threads spin on briefly and then park on
+// (std::atomic::wait), so idle workers do not burn a core while the calling
+// thread works alone between run_until calls; between the spin and the park
+// they yield, so waiting threads do not starve the ones they wait for when
+// runnable threads outnumber cores. Each datum handed between threads is
+// written before a barrier and read after it, so the structure is TSan-clean
+// by construction; `serial` runs every window on the calling thread for
+// debugging, with identical results.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -101,6 +113,9 @@ class ShardedEngine {
 
   /// Runs every shard up to global time `t` window by window, firing controls
   /// at their exact times. On return all shard clocks and now() equal `t`.
+  /// An exception thrown by an event, a drain or a control on any thread
+  /// ends the run at the next barrier and is rethrown here (the lowest
+  /// shard's first).
   void run_until(SimTime t);
 
   /// Sum of events processed across shards.
@@ -110,6 +125,16 @@ class ShardedEngine {
   [[nodiscard]] std::size_t pending() const;
   /// Synchronization windows executed so far (barrier count; perf telemetry).
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
+
+  /// Wall-clock split of one shard's thread inside run_until: `busy_s` runs
+  /// events, drains mail and fires controls; `barrier_wait_s` waits for the
+  /// other shards. Read with steady_clock at each barrier, not per event.
+  /// Both stay zero on the single-thread paths (one shard, or `serial`).
+  struct ShardTiming {
+    double busy_s = 0.0;
+    double barrier_wait_s = 0.0;
+  };
+  [[nodiscard]] ShardTiming timing(std::size_t k) const;
 
   /// Heap-owned bytes across shard engines and mailboxes (--mem-report).
   [[nodiscard]] std::size_t memory_bytes() const;
@@ -126,14 +151,66 @@ class ShardedEngine {
     InlineCallback cb;
   };
 
-  /// Moves every outbox entry into its destination engine (barrier context).
-  void drain_mail();
+  /// What the window loop does next, computed from the earliest pending
+  /// shard event, the earliest control and the horizon. Every thread of a
+  /// threaded run computes it from the same published inputs.
+  struct Step {
+    enum class Kind { kWindow, kControl, kTail } kind;
+    SimTime at;  ///< window edge, control time, or the horizon (kTail)
+  };
+  [[nodiscard]] Step next_step(SimTime t_next, SimTime horizon) const;
+
+  /// Generation-counter barrier for the K threads of a threaded run. A
+  /// waiting thread spins on the generation, then polls it between
+  /// yields, then parks on it with std::atomic::wait. Each arrival may flag
+  /// a failure; every party of a generation gets the same OR of those flags
+  /// back.
+  class Barrier {
+   public:
+    explicit Barrier(std::uint32_t parties) : parties_(parties) {}
+    bool arrive_and_wait(bool failed);
+
+   private:
+    const std::uint32_t parties_;
+    alignas(64) std::atomic<std::uint32_t> arrived_{0};
+    std::atomic<bool> failed_{false};  ///< this generation's arrivals
+    /// The last completed generation's failure bit: written by its last
+    /// arrival before the generation advances, read by the others after.
+    bool outcome_ = false;
+    alignas(64) std::atomic<std::uint32_t> generation_{0};
+  };
+
+  using Clock = std::chrono::steady_clock;
+  /// One thread's slot, written only by that thread (and read by the others
+  /// across a barrier). Cache-line aligned so publications do not share
+  /// lines.
+  struct alignas(64) Lane {
+    SimTime next = kNever;  ///< published next-event time of the shard
+    Clock::time_point mark{};
+    Clock::duration busy{};
+    Clock::duration wait{};
+    std::exception_ptr error;
+  };
+
+  /// Moves every entry of shard k's inbound column outbox_[*][k] into
+  /// engine k. Runs on shard k's thread (or in barrier context).
+  void drain_column(std::size_t k);
   /// Earliest pending event time across shards (after draining mail).
   [[nodiscard]] SimTime min_next_event() const;
-  /// Runs every shard to `t` — run_before (exclusive) or run_until
-  /// (inclusive) — on the pool, or inline when serial.
-  void parallel_run(SimTime t, bool inclusive);
   void run_shard(std::size_t k, SimTime t, bool inclusive);
+  /// Fires every control due at `t`, in admission order.
+  void fire_controls(SimTime t);
+  /// The single-thread window loop (one shard, or `serial`).
+  void run_serial(SimTime t);
+  /// The threaded window loop, run by the thread of shard k to horizon_.
+  void run_windows(std::size_t k);
+  /// Runs `work` on shard k's thread, parking an exception in its lane;
+  /// returns whether it threw.
+  template <typename Work>
+  bool guarded(std::size_t k, Work&& work);
+  /// Barrier crossing for shard k's thread, with busy/wait accounting.
+  /// Returns whether any thread flagged a failure for this crossing.
+  bool sync(std::size_t k, bool failed);
   void worker_loop(std::size_t k);
 
   SimTime now_ = 0.0;
@@ -142,23 +219,19 @@ class ShardedEngine {
   std::uint64_t windows_ = 0;
   std::uint64_t control_seq_ = 0;
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// outbox_[src][dst]: filled by shard src's thread during a window, drained
-  /// by the coordinating thread at the barrier. The barrier mutex orders the
-  /// hand-off, so no per-entry synchronization is needed.
+  /// outbox_[src][dst]: filled by shard src's thread during a window (or in
+  /// barrier context), drained by shard dst's thread after the next barrier.
   std::vector<std::vector<std::vector<Mail>>> outbox_;
   /// Min-heap on (at, seq); std::push_heap/pop_heap over a vector because
   /// InlineCallback is move-only and priority_queue::top() is const.
   std::vector<Control> controls_;
 
-  // -- worker pool (unused when serial_ or shards == 1) --
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t job_gen_ = 0;
-  SimTime job_time_ = 0.0;
-  bool job_inclusive_ = false;
+  // -- threaded runs only (empty / unused when serial_ or shards == 1) --
+  std::vector<Lane> lanes_;
+  std::unique_ptr<Barrier> barrier_;
+  /// Written by the calling thread before it releases the workers.
+  SimTime horizon_ = 0.0;
   bool shutdown_ = false;
-  std::size_t done_count_ = 0;
   std::vector<std::thread> workers_;
 };
 

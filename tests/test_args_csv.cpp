@@ -75,6 +75,37 @@ TEST(Args, CountsRejectNegativeValues) {
   EXPECT_EQ(args.get_count("seed", 7), 7u);
 }
 
+TEST(Args, CountListsCheckEveryElement) {
+  Args args = parse({"--curve-points", "8192,32768", "--one=64", "--neg=1,-2",
+                     "--junk=5,6x", "--gap=5,,6", "--trail=5,"},
+                    {"curve-points", "one", "neg", "junk", "gap", "trail",
+                     "absent"});
+  EXPECT_EQ(args.get_counts("curve-points", {}),
+            (std::vector<std::size_t>{8192, 32768}));
+  EXPECT_EQ(args.get_counts("one", {}), (std::vector<std::size_t>{64}));
+  EXPECT_EQ(args.get_counts("absent", {1, 2}),
+            (std::vector<std::size_t>{1, 2}));
+  EXPECT_THROW((void)args.get_counts("neg", {}), AssertionError);
+  EXPECT_THROW((void)args.get_counts("junk", {}), AssertionError);
+  EXPECT_THROW((void)args.get_counts("gap", {}), AssertionError);
+  EXPECT_THROW((void)args.get_counts("trail", {}), AssertionError);
+}
+
+TEST(Args, BenchFlagsRejectWrappedAndMalformedValues) {
+  // The perf_scaling forms: a negative shard count must not wrap to a huge
+  // unsigned one, and a horizon or seed with junk must not parse as a
+  // prefix.
+  Args args = parse({"--shards", "-3", "--seconds", "10s", "--seed=7e3",
+                     "--nodes", "1e4", "--sweep", "--threads", "2"},
+                    {"shards", "seconds", "seed", "nodes", "sweep", "threads"});
+  EXPECT_THROW((void)args.get_count("shards", 1), AssertionError);
+  EXPECT_THROW((void)args.get_double("seconds", 60.0), AssertionError);
+  EXPECT_THROW((void)args.get_count("seed", 1), AssertionError);
+  EXPECT_THROW((void)args.get_count("nodes", 8192), AssertionError);
+  EXPECT_TRUE(args.get_bool("sweep", false));  // bare flag before another
+  EXPECT_EQ(args.get_count("threads", 0), 2u);
+}
+
 TEST(Csv, WritesCurve) {
   std::string path = ::testing::TempDir() + "/curve_test.csv";
   write_curve_csv(path, {{0.0, 0.1}, {0.5, 0.8}, {1.0, 1.0}});

@@ -74,6 +74,26 @@ TEST(Dissemination, MessageIdsArePerSourceSequences) {
   EXPECT_EQ(c.seq, 0u);
 }
 
+TEST(Dissemination, GcSweepFreesDrainedBacklogs) {
+  System system(small_config(32));
+  system.start();
+  system.run_for(60.0);
+  for (int m = 0; m < 40; ++m) system.node(m % 4).multicast(128);
+  system.run_for(1.0);
+  std::size_t during = 0;
+  for (NodeId id = 0; id < 32; ++id) {
+    during += system.node(id).dissemination().backlog_capacity();
+  }
+  EXPECT_GT(during, 0u);
+  // Long enough for every backlog to drain and every node to sweep twice
+  // (the sweep period is 5 s); no new ids arrive in between.
+  system.run_for(12.0);
+  for (NodeId id = 0; id < 32; ++id) {
+    EXPECT_EQ(system.node(id).dissemination().backlog_capacity(), 0u)
+        << "node " << id;
+  }
+}
+
 TEST(Dissemination, GossipOnlyModeStillDeliversEverywhere) {
   SystemConfig config = small_config(24);
   config.node.dissemination.use_tree = false;

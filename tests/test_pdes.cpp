@@ -5,13 +5,16 @@
 // same-instant arrival ties, churn, scripted faults and invariant checking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/fault_behavior.h"
+#include "common/rng.h"
 #include "fault/invariant_checker.h"
 #include "gocast/system.h"
 #include "harness/scenario.h"
@@ -119,6 +122,160 @@ TEST(ShardedEngineUnit, MailboxDeliversInTimeKeyOrder) {
   EXPECT_EQ(order, (std::vector<int>{90, 3, 7}));
 }
 
+TEST(ShardedEngineUnit, ControlSchedulingIntoIdleShardFiresInOrder) {
+  // Shards 0 and 1 next fire at 1.0 and shard 2 is idle, so every published
+  // next-event time is >= 1.0. A control at 0.5 schedules onto shard 2 an
+  // event that posts to shard 0 at 0.51. The next window must be computed
+  // from fresh times, or shard 0 runs past 0.51 before that mail lands.
+  for (bool serial : {true, false}) {
+    sim::ShardedEngine engine(
+        {.shards = 3, .lookahead = 0.01, .serial = serial});
+    std::vector<std::vector<int>> log(3);
+    engine.shard(0).schedule_at_ordered(1.0, 1, [&] { log[0].push_back(1); });
+    engine.shard(1).schedule_at_ordered(1.0, 2, [&] { log[1].push_back(2); });
+    engine.schedule_control(0.5, [&] {
+      engine.shard(2).schedule_at_ordered(0.5, 3, [&] {
+        log[2].push_back(3);
+        engine.post(2, 0, 0.51, 4,
+                    sim::InlineCallback([&] { log[0].push_back(4); }));
+      });
+    });
+    engine.run_until(2.0);
+    EXPECT_EQ(log[0], (std::vector<int>{4, 1})) << "serial=" << serial;
+    EXPECT_EQ(log[1], (std::vector<int>{2}));
+    EXPECT_EQ(log[2], (std::vector<int>{3}));
+    EXPECT_EQ(engine.pending(), 0u);
+  }
+}
+
+TEST(ShardedEngineUnit, WorkerExceptionReachesCaller) {
+  sim::ShardedEngine engine({.shards = 3, .lookahead = 0.01});
+  engine.shard(2).schedule_at_ordered(0.5, 1, [] {
+    GOCAST_ASSERT_MSG(false, "event failed on a worker");
+  });
+  engine.shard(0).schedule_at_ordered(0.7, 2, [] {});
+  EXPECT_THROW(engine.run_until(1.0), AssertionError);
+}
+
+/// A deterministic stress workload: every event logs (time, id) on its shard
+/// and spawns one child, half the time onto another shard through the
+/// mailboxes. Controls start new chains and post from barrier context, and
+/// the calling thread schedules and posts between run_until calls. In the
+/// sparse mix a chain ends with probability 1/16 per event, so only a
+/// handful are alive at a time and fresh mail is often the earliest pending
+/// event.
+class WindowStress {
+ public:
+  static constexpr SimTime kLookahead = 0.001;
+  static constexpr SimTime kStop = 3.0;
+  using Log = std::vector<std::pair<SimTime, std::uint64_t>>;
+
+  WindowStress(std::size_t shards, bool serial, bool sparse)
+      : engine_({.shards = shards, .lookahead = kLookahead, .serial = serial}),
+        logs_(shards),
+        sparse_(sparse) {}
+
+  /// Runs the workload; returns each shard's firing sequence, then the
+  /// control log as the last entry.
+  std::vector<Log> run() {
+    const std::size_t k = engine_.shard_count();
+    for (std::uint64_t i = 0; i < 6 * k; ++i) {
+      spawn(i % k, 0.0, 1000 + i);
+    }
+    engine_.schedule_control(0.0, [this] { control(); });
+    for (int step = 1; step <= 60; ++step) {
+      const SimTime t = kStop * step / 60.0;
+      engine_.run_until(t);
+      // Calling-thread work between run_until calls.
+      const std::size_t s = static_cast<std::size_t>(step) % k;
+      spawn(s, t, next_key());
+      const std::size_t dst = (s + 1) % k;
+      const std::uint64_t id = next_key();
+      engine_.post(s, dst, t, id,
+                   sim::InlineCallback([this, dst, id] { fire(dst, id); }));
+    }
+    EXPECT_EQ(engine_.now(), kStop);
+    EXPECT_GT(engine_.windows(), 1000u);
+    std::vector<Log> out = logs_;
+    out.push_back(controls_);
+    return out;
+  }
+
+ private:
+  std::size_t k() const { return engine_.shard_count(); }
+  std::uint64_t next_key() { return 1'000'000 + caller_keys_++; }
+
+  /// Schedules event `id` on shard s at `at` (>= shard s's clock).
+  void spawn(std::size_t s, SimTime at, std::uint64_t id) {
+    engine_.shard(s).schedule_at_ordered(at, id,
+                                         [this, s, id] { fire(s, id); });
+  }
+
+  void fire(std::size_t s, std::uint64_t id) {
+    const SimTime now = engine_.shard(s).now();
+    logs_[s].emplace_back(now, id);
+    std::uint64_t state = id;
+    const std::uint64_t r = splitmix64(state);
+    const std::uint64_t child = splitmix64(state) >> 24;  // fits the key bits
+    const double u = static_cast<double>(r >> 11) * 0x1.0p-53;
+    if (sparse_ && (r >> 60) == 0) return;
+    if (k() > 1 && (r & 1) != 0) {
+      const std::size_t dst = (s + 1 + (r >> 1) % (k() - 1)) % k();
+      const SimTime at = now + kLookahead + 0.002 * u;
+      if (at < kStop) {
+        engine_.post(s, dst, at, child,
+                     sim::InlineCallback([this, dst, child] {
+                       fire(dst, child);
+                     }));
+      }
+    } else if (now + 0.003 * u < kStop) {
+      spawn(s, now + 0.003 * u, child);
+    }
+  }
+
+  /// Every 10 ms: log, start a chain on one shard at the control time, post
+  /// onto another from barrier context, and reschedule.
+  void control() {
+    const SimTime now = engine_.now();
+    controls_.emplace_back(now, control_count_);
+    const std::size_t s = control_count_ % k();
+    spawn(s, now, 5'000'000 + control_count_);
+    const std::size_t dst = (s + 1) % k();
+    const std::uint64_t id = 6'000'000 + control_count_;
+    engine_.post(s, dst, now + 0.0002, id,
+                 sim::InlineCallback([this, dst, id] { fire(dst, id); }));
+    ++control_count_;
+    if (now + 0.01 < kStop) {
+      engine_.schedule_control(now + 0.01, [this] { control(); });
+    }
+  }
+
+  sim::ShardedEngine engine_;
+  std::vector<Log> logs_;  ///< per shard; written only by its thread
+  const bool sparse_;
+  Log controls_;
+  std::uint64_t control_count_ = 0;
+  std::uint64_t caller_keys_ = 0;
+};
+
+TEST(ShardedEngineUnit, ThreadedWindowsMatchSerialUnderStress) {
+  for (bool sparse : {false, true}) {
+    for (std::size_t k : {2u, 3u, 4u}) {
+      const std::vector<WindowStress::Log> serial =
+          WindowStress(k, true, sparse).run();
+      const std::vector<WindowStress::Log> threaded =
+          WindowStress(k, false, sparse).run();
+      ASSERT_EQ(serial.size(), k + 1);
+      for (std::size_t s = 0; s <= k; ++s) {
+        EXPECT_GT(serial[s].size(), 100u)
+            << "K=" << k << " sparse=" << sparse << " log " << s;
+        EXPECT_EQ(serial[s], threaded[s])
+            << "K=" << k << " sparse=" << sparse << " log " << s;
+      }
+    }
+  }
+}
+
 // -- degenerate-lookahead fallback --
 
 TEST(ShardedEngineUnit, OneShardRunsWithoutLookaheadBound) {
@@ -185,6 +342,32 @@ TEST(ShardedSystem, KingModelShardsEngage) {
   core::System system(config);
   ASSERT_EQ(system.shard_count(), 4u);
   EXPECT_GE(system.pdes_lookahead(), core::kPdesLookaheadFloor);
+}
+
+TEST(ShardedSystem, ShardsBalanceByNodeCount) {
+  // Nodes sit on site id mod S, so when S does not divide n the low sites
+  // hold one node more. The contiguous site ranges are cut at cumulative
+  // node counts, so shards differ by at most one site's worth of nodes.
+  const std::size_t sites = core::default_latency_model(3)->site_count();
+  for (std::size_t n : {1024u, 8192u}) {
+    for (std::size_t k : {3u, 4u}) {
+      core::SystemConfig config;
+      config.node_count = n;
+      config.seed = 3;
+      config.latency = core::default_latency_model(3);
+      config.shard_count = k;
+      core::System system(config);
+      ASSERT_EQ(system.shard_count(), k);
+      std::vector<std::size_t> per_shard(k, 0);
+      for (NodeId id = 0; id < n; ++id) {
+        ++per_shard[system.network().shard_of(id)];
+      }
+      const auto [lo, hi] =
+          std::minmax_element(per_shard.begin(), per_shard.end());
+      const std::size_t site_worth = (n + sites - 1) / sites;
+      EXPECT_LE(*hi - *lo, site_worth) << "n=" << n << " K=" << k;
+    }
+  }
 }
 
 // -- full-protocol shard invariance --

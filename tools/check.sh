@@ -14,8 +14,8 @@
 #                                  # (ext_multigroup --smoke) + an 8-process
 #                                  # gocastd --groups UDP run
 #   tools/check.sh pdes-smoke      # sharded-PDES determinism gate: 2k-node
-#                                  # scenario at seeds 1, 2 and 6, shards=1 vs
-#                                  # shards=4 delivery checksums must be
+#                                  # scenario at seeds 1, 2 and 6, shards=1,
+#                                  # 3 and 4 delivery checksums must be
 #                                  # byte-identical
 set -euo pipefail
 
@@ -219,8 +219,8 @@ if [[ "${1:-}" == "multigroup-smoke" ]]; then
 fi
 
 # pdes-smoke: the sharded-PDES determinism gate — the same 2048-node
-# scenario at shards=1 (one shard, the serial run) and shards=4 (four
-# engines in conservative lookahead windows) must report byte-identical
+# scenario at shards=1 (one shard, the serial run), shards=3 and shards=4
+# (engines in conservative lookahead windows) must report byte-identical
 # delivery checksums, at each of several seeds. Any divergence is an ordering
 # bug in the sharded runtime (see DESIGN.md §11), never acceptable noise.
 if [[ "${1:-}" == "pdes-smoke" ]]; then
@@ -233,15 +233,18 @@ if [[ "${1:-}" == "pdes-smoke" ]]; then
       sed -n 's/.*delivery checksum *| *\([0-9a-f]*\).*/\1/p'
   }
   for seed in 1 2 6; do
-    echo "=== pdes-smoke: 2048 nodes, seed ${seed}, shards=1 vs shards=4 ==="
+    echo "=== pdes-smoke: 2048 nodes, seed ${seed}, shards=1 vs 3 vs 4 ==="
     sum1="$(checksum "${seed}" 1)"
-    sum4="$(checksum "${seed}" 4)"
     echo "shards=1 checksum: ${sum1}"
-    echo "shards=4 checksum: ${sum4}"
-    if [[ -z "${sum1}" || "${sum1}" != "${sum4}" ]]; then
-      echo "FATAL: delivery checksums differ across shard counts" >&2
-      exit 1
-    fi
+    # shards=3: the node-weighted site cut is uneven there.
+    for shards in 3 4; do
+      sum="$(checksum "${seed}" "${shards}")"
+      echo "shards=${shards} checksum: ${sum}"
+      if [[ -z "${sum1}" || "${sum1}" != "${sum}" ]]; then
+        echo "FATAL: delivery checksums differ across shard counts" >&2
+        exit 1
+      fi
+    done
   done
   echo "=== pdes-smoke passed ==="
   exit 0
