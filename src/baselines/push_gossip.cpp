@@ -3,8 +3,6 @@
 #include <unordered_set>
 
 #include "common/assert.h"
-#include "gocast/system.h"  // default_latency_model
-#include "runtime/udp_runtime.h"
 
 namespace gocast::baselines {
 
@@ -217,25 +215,17 @@ void PushGossipNodeT<RT>::handle_message(NodeId from,
 }
 
 template class PushGossipNodeT<runtime::SimRuntime>;
-template class PushGossipNodeT<runtime::UdpContext>;
 
 // ---------------------------------------------------------------------------
 // System facade
 // ---------------------------------------------------------------------------
 
 PushGossipSystem::PushGossipSystem(PushGossipSystemConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
-  GOCAST_ASSERT(config_.node_count >= 2);
-  latency_ = config_.latency != nullptr
-                 ? config_.latency
-                 : core::default_latency_model(config_.seed);
-  network_ = std::make_unique<net::Network>(engine_, latency_, config_.net,
-                                            rng_.fork("network"));
-  network_->add_nodes_round_robin(config_.node_count);
-  nodes_.reserve(config_.node_count);
-  for (NodeId id = 0; id < config_.node_count; ++id) {
+    : DeploymentOf(config), params_(config.node) {
+  nodes_.reserve(config.node_count);
+  for (NodeId id = 0; id < config.node_count; ++id) {
     nodes_.push_back(std::make_unique<PushGossipNode>(
-        id, runtime::SimRuntime(*network_, id), config_.node,
+        id, runtime::SimRuntime(*network_, id), params_,
         rng_.fork(static_cast<std::uint64_t>(id))));
   }
 }
@@ -243,42 +233,8 @@ PushGossipSystem::PushGossipSystem(PushGossipSystemConfig config)
 void PushGossipSystem::start() {
   Rng init_rng = rng_.fork("init");
   for (auto& node : nodes_) {
-    node->start(init_rng.next_range(0.0, config_.node.gossip_period));
+    node->start(init_rng.next_range(0.0, params_.gossip_period));
   }
-}
-
-std::vector<NodeId> PushGossipSystem::fail_random_fraction(double fraction) {
-  GOCAST_ASSERT(fraction >= 0.0 && fraction <= 1.0);
-  std::vector<NodeId> alive = alive_nodes();
-  Rng fail_rng = rng_.fork("failures");
-  fail_rng.shuffle(alive);
-  std::size_t count = static_cast<std::size_t>(
-      static_cast<double>(alive.size()) * fraction + 0.5);
-  std::vector<NodeId> killed(alive.begin(),
-                             alive.begin() + static_cast<long>(count));
-  for (NodeId id : killed) nodes_[id]->kill();
-  return killed;
-}
-
-NodeId PushGossipSystem::random_alive_node() {
-  GOCAST_ASSERT(network_->alive_count() > 0);
-  for (;;) {
-    NodeId id = static_cast<NodeId>(rng_.next_below(nodes_.size()));
-    if (network_->alive(id)) return id;
-  }
-}
-
-void PushGossipSystem::set_delivery_hook(const core::DeliveryHook& hook) {
-  for (auto& node : nodes_) node->set_delivery_hook(hook);
-}
-
-std::vector<NodeId> PushGossipSystem::alive_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (network_->alive(id)) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace gocast::baselines

@@ -16,7 +16,8 @@
 // favorable membership assumption.
 //
 // The node is a template over a runtime context (see runtime/context.h);
-// PushGossipNode binds the simulator. PushGossipSystem stays sim-only.
+// PushGossipNode binds the simulator. PushGossipSystem runs it on the same
+// deployment as core::System (gocast/deployment.h), sharded alike.
 #pragma once
 
 #include <memory>
@@ -25,6 +26,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "gocast/deployment.h"
 #include "gocast/dissemination.h"  // DeliveryEvent / DeliveryHook / wire messages
 #include "net/network.h"
 #include "runtime/context.h"
@@ -60,11 +62,9 @@ class PushGossipNodeT final : public net::Endpoint {
     delivery_hook_ = std::move(hook);
   }
 
-  [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
-  [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
   [[nodiscard]] std::uint64_t gossips_sent() const { return gossips_sent_; }
 
-  /// Harness-facing aliases matching core::GoCastNode.
+  /// Harness-facing counters, named as on core::GoCastNode.
   [[nodiscard]] std::uint64_t deliveries_count() const { return deliveries_; }
   [[nodiscard]] std::uint64_t duplicates_count() const { return duplicates_; }
 
@@ -118,52 +118,20 @@ class PushGossipNodeT final : public net::Endpoint {
 /// The simulation-backed baseline node.
 using PushGossipNode = PushGossipNodeT<runtime::SimRuntime>;
 
-/// Assembles a complete push-gossip deployment over the same network
-/// substrate as core::System.
-struct PushGossipSystemConfig {
-  std::size_t node_count = 64;
+/// A complete push-gossip deployment: core::System's deployment half
+/// (engine, shard layout, network) with baseline nodes on top.
+struct PushGossipSystemConfig : core::DeploymentConfig {
   PushGossipParams node;
-  net::NetworkConfig net;
-  std::shared_ptr<const net::LatencyModel> latency;  ///< null → synthetic King
-  std::uint64_t seed = 1;
 };
 
-class PushGossipSystem {
+class PushGossipSystem : public core::DeploymentOf<PushGossipNode> {
  public:
   explicit PushGossipSystem(PushGossipSystemConfig config);
 
-  PushGossipSystem(const PushGossipSystem&) = delete;
-  PushGossipSystem& operator=(const PushGossipSystem&) = delete;
-
   void start();
-  [[nodiscard]] net::Network& network() { return *network_; }
-  [[nodiscard]] PushGossipNode& node(NodeId id) { return *nodes_.at(id); }
-  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
-  [[nodiscard]] SimTime now() const { return engine_.now(); }
-  /// The baseline always runs one shard.
-  [[nodiscard]] std::size_t shard_count() const {
-    return engine_.shard_count();
-  }
-
-  void run_for(SimTime duration) { run_until(engine_.now() + duration); }
-  void run_until(SimTime t) { engine_.run_until(t); }
-  /// Schedules a simulation-global action at absolute time `t`, ahead of
-  /// same-time node events (see core::System::schedule_control).
-  void schedule_control(SimTime t, sim::InlineCallback cb) {
-    engine_.schedule_control(t, std::move(cb));
-  }
-  std::vector<NodeId> fail_random_fraction(double fraction);
-  [[nodiscard]] NodeId random_alive_node();
-  void set_delivery_hook(const core::DeliveryHook& hook);
-  [[nodiscard]] std::vector<NodeId> alive_nodes() const;
 
  private:
-  PushGossipSystemConfig config_;
-  Rng rng_;
-  sim::ShardedEngine engine_;
-  std::shared_ptr<const net::LatencyModel> latency_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<PushGossipNode>> nodes_;
+  PushGossipParams params_;
 };
 
 }  // namespace gocast::baselines

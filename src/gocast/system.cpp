@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <mutex>
-#include <sstream>
-#include <string>
 #include <unordered_set>
 
 #include "common/assert.h"
@@ -18,97 +15,8 @@ namespace {
 constexpr std::size_t kInitialViewSize = 64;
 }  // namespace
 
-std::shared_ptr<const net::LatencyModel> default_latency_model(
-    std::uint64_t seed, std::size_t sites) {
-  static std::mutex mutex;
-  static std::map<std::pair<std::uint64_t, std::size_t>,
-                  std::shared_ptr<const net::LatencyModel>>
-      cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto key = std::make_pair(seed, sites);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-
-  net::SyntheticKingParams params;
-  params.sites = sites;
-  auto model = std::shared_ptr<const net::LatencyModel>(
-      net::make_synthetic_king(params, Rng(seed).fork("king")));
-  cache[key] = model;
-  return model;
-}
-
-std::vector<std::uint32_t> System::init_sharding() {
-  const std::size_t sites = latency_->site_count();
-  const std::size_t shards = std::min(config_.shard_count, sites);
-  // Contiguous site ranges, cut at cumulative node counts: a site goes to
-  // the shard whose share of the n nodes holds the midpoint of its own
-  // nodes. Nodes sit on site id mod S (Network::add_nodes_round_robin), so
-  // when S does not divide n the low sites hold one node more; cutting by
-  // site count would leave the top shard short (at n = 1,024 and S = 1,740
-  // almost empty). Each cut lands within half a site of its ideal place.
-  const std::size_t n = config_.node_count;
-  std::vector<std::uint32_t> site_shard(sites);
-  std::size_t nodes_before = 0;  // nodes on sites < s
-  for (std::size_t s = 0; s < sites; ++s) {
-    const std::size_t here = n / sites + (s < n % sites ? 1 : 0);
-    site_shard[s] = static_cast<std::uint32_t>(
-        std::min(shards - 1, (2 * nodes_before + here) * shards / (2 * n)));
-    nodes_before += here;
-  }
-  SimTime lookahead = kNever;
-  // Why the requested layout cannot run; empty when it can.
-  auto unsupported = [&]() -> std::string {
-    if (config_.groups.group_count > 1) return "with multi-group topologies";
-    if (config_.net.record_site_pairs) return "with site-pair accounting";
-    if (shards <= 1) return "on a single-site topology";
-    lookahead = latency_->min_cross_partition_one_way(site_shard);
-    if (!(lookahead >= kPdesLookaheadFloor) || lookahead == kNever) {
-      std::ostringstream why;
-      why << "with a minimum cross-partition latency of " << lookahead
-          << "s (below the lookahead floor " << kPdesLookaheadFloor << "s)";
-      return why.str();
-    }
-    return {};
-  };
-  if (config_.shard_count > 1) {
-    const std::string why = unsupported();
-    if (why.empty()) {
-      engine_ = std::make_unique<sim::ShardedEngine>(
-          sim::ShardedEngine::Config{shards, lookahead, config_.pdes_serial});
-      GOCAST_INFO("sharded PDES: "
-                  << shards << " shards, lookahead " << lookahead * 1000.0
-                  << " ms" << (config_.pdes_serial ? " (serial windows)" : ""));
-      return site_shard;
-    }
-    GOCAST_WARN("shard_count " << config_.shard_count << " unsupported "
-                               << why << "; running one shard");
-  }
-  engine_ = std::make_unique<sim::ShardedEngine>();
-  return std::vector<std::uint32_t>(sites, 0);
-}
-
 System::System(SystemConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
-  GOCAST_ASSERT(config_.node_count >= 2);
-
-  latency_ = config_.latency != nullptr
-                 ? config_.latency
-                 : default_latency_model(config_.seed);
-  const std::vector<std::uint32_t> site_shard = init_sharding();
-  network_ = std::make_unique<net::Network>(*engine_, latency_, config_.net,
-                                            rng_.fork("network"));
-  network_->add_nodes_round_robin(config_.node_count);
-  std::vector<std::uint16_t> shard_of(config_.node_count);
-  for (NodeId id = 0; id < config_.node_count; ++id) {
-    shard_of[id] =
-        static_cast<std::uint16_t>(site_shard[network_->site_of(id)]);
-  }
-  // Stateless draw seed derived directly from the run seed (not from rng_:
-  // the system's own stream must consume exactly as it does with one shard,
-  // so barrier-context draws stay byte-identical).
-  std::uint64_t state = config_.seed ^ 0x70646573'64726177ULL;  // "pdesdraw"
-  network_->assign_shards(std::move(shard_of), splitmix64(state));
-
+    : DeploymentOf(config), config_(std::move(config)) {
   // One set of interning tables per shard — sharing is what collapses the
   // duplicated member records (a node known to v views costs one 32-byte
   // landmark vector instead of v of them) and the per-node copies of each
@@ -268,31 +176,9 @@ void System::start() {
   }
 }
 
-std::vector<NodeId> System::fail_random_fraction(double fraction) {
-  GOCAST_ASSERT(fraction >= 0.0 && fraction <= 1.0);
-  std::vector<NodeId> alive = alive_nodes();
-  Rng fail_rng = rng_.fork("failures");
-  fail_rng.shuffle(alive);
-  std::size_t count = static_cast<std::size_t>(
-      static_cast<double>(alive.size()) * fraction + 0.5);
-  std::vector<NodeId> killed(alive.begin(),
-                             alive.begin() + static_cast<long>(count));
-  for (NodeId id : killed) nodes_[id]->kill();
-  GOCAST_INFO("failed " << killed.size() << " of " << alive.size() << " nodes");
-  return killed;
-}
-
 void System::freeze_all() {
   for (auto& node : nodes_) {
     if (network_->alive(node->id())) node->freeze();
-  }
-}
-
-NodeId System::random_alive_node() {
-  GOCAST_ASSERT(network_->alive_count() > 0);
-  for (;;) {
-    NodeId id = static_cast<NodeId>(rng_.next_below(nodes_.size()));
-    if (network_->alive(id)) return id;
   }
 }
 
@@ -315,10 +201,6 @@ void System::revive_node(NodeId id) {
   node.join_via(bootstrap);
   node.start(rng_.next_range(0.0, config_.node.overlay.maintenance_period));
   GOCAST_INFO("revived node " << id << " via bootstrap " << bootstrap);
-}
-
-void System::set_delivery_hook(const DeliveryHook& hook) {
-  for (auto& node : nodes_) node->set_delivery_hook(hook);
 }
 
 void System::group_join(NodeId id, GroupId g) {
@@ -389,15 +271,6 @@ System::MemoryReport System::memory_report() const {
   }
   report.dissemination_bytes = report.dissemination.total();
   return report;
-}
-
-std::vector<NodeId> System::alive_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (network_->alive(id)) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace gocast::core

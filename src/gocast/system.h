@@ -1,35 +1,24 @@
-// Facade that assembles a complete simulated GoCast deployment: engine,
-// latency model, network, and nodes, with the initialization procedure the
-// paper's experiments use (seeded partial views, C_degree/2 random bootstrap
-// links per node, one designated root).
+// Facade that assembles a complete simulated GoCast deployment: the shared
+// deployment half (engine, latency model, network; gocast/deployment.h) plus
+// GoCast nodes, with the initialization procedure the paper's experiments use
+// (seeded partial views, C_degree/2 random bootstrap links per node, one
+// designated root).
 #pragma once
 
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
+#include "gocast/deployment.h"
 #include "gocast/group_directory.h"
 #include "gocast/node.h"
-#include "net/latency_model.h"
-#include "net/network.h"
-#include "sim/sharded_engine.h"
 
 namespace gocast::core {
 
-/// Smallest usable PDES lookahead in seconds. Below it, windows would be so
-/// narrow that barrier overhead swamps any parallelism (degenerate
-/// topologies like RingLatencyModel with tiny arcs, or single-site maps).
-inline constexpr SimTime kPdesLookaheadFloor = 0.0008;
-
-struct SystemConfig {
-  std::size_t node_count = 64;
+/// The deployment fields (node count, network, latency model, seed, shard
+/// count) live in DeploymentConfig; these are GoCast's own.
+struct SystemConfig : DeploymentConfig {
   GoCastConfig node;  ///< per-node configuration (landmarks filled in by System)
-  net::NetworkConfig net;
-  /// Latency model; when null a synthetic King-like model is generated from
-  /// the seed (see net::make_synthetic_king).
-  std::shared_ptr<const net::LatencyModel> latency;
-  std::uint64_t seed = 1;
   /// Initial random links each node initiates (the paper uses C_degree/2, so
   /// the initial average degree is C_degree).
   std::size_t bootstrap_links_per_node = 3;
@@ -45,20 +34,6 @@ struct SystemConfig {
   /// until spawned.
   std::size_t deferred_nodes = 0;
 
-  /// Sharded conservative-PDES execution (DESIGN.md §11): partition nodes
-  /// (by site) across this many engines synchronized in lookahead windows.
-  /// Results are byte-identical at any count. 1 — the default — is the
-  /// serial run: one shard with an infinite lookahead, no worker threads.
-  /// More shards require a latency model whose minimum cross-partition
-  /// one-way latency clears kPdesLookaheadFloor; otherwise the system warns
-  /// and runs one shard. Multi-group topologies, site-pair recording and
-  /// single-site latency models also run one shard (all decided in
-  /// System::init_sharding).
-  std::size_t shard_count = 1;
-  /// Debug/test knob: run shard windows on the calling thread instead of the
-  /// worker pool. Results are identical by construction.
-  bool pdes_serial = false;
-
   /// Multi-group topology (DESIGN.md §10). group_count == 1 (the default)
   /// keeps the deployment single-group and byte-identical to the
   /// pre-multigroup simulator: no directory is built and no multi-group code
@@ -68,76 +43,24 @@ struct SystemConfig {
   GroupTopology groups;
 };
 
-class System {
+class System : public DeploymentOf<GoCastNode> {
  public:
   explicit System(SystemConfig config);
-
-  System(const System&) = delete;
-  System& operator=(const System&) = delete;
 
   /// Seeds views, installs bootstrap links, designates the root, and starts
   /// every node with a small random stagger.
   void start();
 
-  [[nodiscard]] net::Network& network() { return *network_; }
-  [[nodiscard]] const net::Network& network() const { return *network_; }
-  [[nodiscard]] GoCastNode& node(NodeId id) { return *nodes_.at(id); }
-  [[nodiscard]] const GoCastNode& node(NodeId id) const { return *nodes_.at(id); }
-  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] SimTime now() const { return engine_->now(); }
-  [[nodiscard]] Rng& rng() { return rng_; }
-
-  void run_for(SimTime duration) { run_until(now() + duration); }
-  void run_until(SimTime t) {
-    engine_->run_until(t);
-    network_->fold_shard_traffic();
-  }
-
-  // -- sharded PDES (DESIGN.md §11) --
-
-  /// Effective shard count: what the run actually uses after fallbacks.
-  [[nodiscard]] std::size_t shard_count() const {
-    return engine_->shard_count();
-  }
-  /// The conservative lookahead in use (kNever with one shard).
-  [[nodiscard]] SimTime pdes_lookahead() const { return engine_->lookahead(); }
-  [[nodiscard]] sim::ShardedEngine* sharded_engine() { return engine_.get(); }
-
-  /// Schedules a simulation-global action (fault events, probes, message
-  /// injection) at absolute time `t`. It runs single-threaded at a window
-  /// barrier at the exact time, before same-time node events; same-time
-  /// controls run in admission order.
-  void schedule_control(SimTime t, sim::InlineCallback cb) {
-    engine_->schedule_control(t, std::move(cb));
-  }
-
-  /// Events processed / pending across all shards.
-  [[nodiscard]] std::size_t events_processed() const {
-    return engine_->processed();
-  }
-  [[nodiscard]] std::size_t events_pending() const {
-    return engine_->pending();
-  }
-
-  /// Kills a uniformly random `fraction` of the currently alive nodes.
-  /// Returns the killed ids.
-  std::vector<NodeId> fail_random_fraction(double fraction);
 
   /// Freezes overlay/tree maintenance on every alive node (Fig 3(b) mode).
   void freeze_all();
-
-  /// A uniformly random alive node id.
-  [[nodiscard]] NodeId random_alive_node();
 
   /// Brings a crashed node back online: clears its stale protocol links
   /// (every TCP connection died with the process), recovers it on the
   /// network, and rejoins it through a random alive bootstrap node. The
   /// fault subsystem's recover events use this. No-op for alive nodes.
   void revive_node(NodeId id);
-
-  /// Installs the hook on every node.
-  void set_delivery_hook(const DeliveryHook& hook);
 
   // -- multi-group (only meaningful when config.groups.group_count > 1) --
 
@@ -150,9 +73,6 @@ class System {
   void group_join(NodeId id, GroupId g);
   /// Unsubscribes `id` from `g`: directory update plus node-side deactivate.
   void group_leave(NodeId id, GroupId g);
-
-  /// Ids of currently alive nodes.
-  [[nodiscard]] std::vector<NodeId> alive_nodes() const;
 
   /// Brings the next deferred node online: it joins through a random alive
   /// bootstrap node and integrates via the normal maintenance protocols.
@@ -195,29 +115,14 @@ class System {
   [[nodiscard]] MemoryReport memory_report() const;
 
  private:
-  /// Resolves the effective shard layout — one shard when a fallback
-  /// applies (warned) — creates engine_, and returns each site's shard.
-  /// Ctor helper.
-  std::vector<std::uint32_t> init_sharding();
-
   SystemConfig config_;
-  Rng rng_;
-  std::shared_ptr<const net::LatencyModel> latency_;
-  std::unique_ptr<sim::ShardedEngine> engine_;
-  std::unique_ptr<net::Network> network_;
   /// One set of interning tables (landmark vectors, message metadata) per
   /// shard: the tables are single-threaded, and values cross shards by
   /// value on the wire, so shards never share handles.
   std::vector<std::shared_ptr<ShardTables>> shard_stores_;
-  std::vector<std::unique_ptr<GoCastNode>> nodes_;
   std::shared_ptr<GroupDirectory> directory_;
   bool started_ = false;
   std::size_t spawned_ = 0;
 };
-
-/// Builds (and caches per-process, keyed by seed/sites) the default synthetic
-/// King-like latency model. Generation costs ~n² work; experiments reuse it.
-[[nodiscard]] std::shared_ptr<const net::LatencyModel> default_latency_model(
-    std::uint64_t seed, std::size_t sites = 1740);
 
 }  // namespace gocast::core

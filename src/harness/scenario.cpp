@@ -36,27 +36,40 @@ constexpr std::size_t kCurvePoints = 41;
 /// Settle time between the post-warmup failure and the first injection.
 constexpr SimTime kPostFailureSettle = 0.5;
 
-/// Drives the shared run phases against either system facade. When
-/// `excluded_sources` is non-null, traffic injection re-rolls sources that
-/// appear in that (sorted) list — it may fill in mid-run, so membership is
-/// checked at each injection's fire time.
+/// Delivery trackers, one per shard (or, in multi-group runs, per group of
+/// one shard). A node's hook writes only its own shard's trackers, so each
+/// tracker has a single writer: that shard's window thread (DESIGN.md §11).
+using Trackers = std::vector<std::unique_ptr<analysis::DeliveryTracker>>;
+
+Trackers make_trackers(std::size_t count, std::size_t node_count) {
+  Trackers trackers;
+  for (std::size_t k = 0; k < count; ++k) {
+    trackers.push_back(std::make_unique<analysis::DeliveryTracker>(node_count));
+  }
+  return trackers;
+}
+
+/// Folds every shard's tracker into trackers[0] (node rows are disjoint) and
+/// returns it. Call after the run, when no hook fires again.
+analysis::DeliveryTracker& merge_shard_trackers(Trackers& trackers) {
+  for (std::size_t k = 1; k < trackers.size(); ++k) {
+    trackers[0]->merge_from(*trackers[k]);
+  }
+  return *trackers[0];
+}
+
+/// Drives the shared run phases against either system facade, recording
+/// each node's deliveries in its shard's tracker; on return trackers[0]
+/// holds the merged record. When `excluded_sources` is non-null, traffic
+/// injection re-rolls sources that appear in that (sorted) list — it may
+/// fill in mid-run, so membership is checked at each injection's fire time.
 template <typename SystemT>
 ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
-                     analysis::DeliveryTracker& tracker,
+                     Trackers& trackers,
                      const std::vector<NodeId>* excluded_sources = nullptr) {
-  // One tracker per shard (DESIGN.md §11), so each hook has a single writer —
-  // its shard's window thread. Shard 0 records into the caller's tracker;
-  // the others merge into it at the end.
-  std::vector<std::unique_ptr<analysis::DeliveryTracker>> extra_trackers;
-  std::vector<analysis::DeliveryTracker*> shard_trackers{&tracker};
-  for (std::size_t s = 1; s < system.shard_count(); ++s) {
-    extra_trackers.push_back(
-        std::make_unique<analysis::DeliveryTracker>(config.node_count));
-    shard_trackers.push_back(extra_trackers.back().get());
-  }
   for (NodeId id = 0; id < config.node_count; ++id) {
     system.node(id).set_delivery_hook(
-        shard_trackers[system.network().shard_of(id)]->hook());
+        trackers[system.network().shard_of(id)]->hook());
   }
   if (config.loss_probability > 0.0) {
     system.network().set_loss_probability(config.loss_probability);
@@ -72,9 +85,7 @@ ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
     system.run_for(kPostFailureSettle);
   }
 
-  for (analysis::DeliveryTracker* shard_tracker : shard_trackers) {
-    shard_tracker->set_recording(true);
-  }
+  for (auto& tracker : trackers) tracker->set_recording(true);
   // Link-stress comparisons measure the message workload, not warmup
   // control traffic: restart site-pair accounting at injection time.
   if (config.record_site_pairs) system.network().traffic().clear_site_pairs();
@@ -101,12 +112,11 @@ ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
                                           config.message_rate;
   system.run_until(inject_end + config.drain);
 
-  // Fold the other shards' deliveries into the caller's tracker (node rows
-  // are disjoint by construction). The run is over, so no hook fires again.
-  for (const auto& extra : extra_trackers) tracker.merge_from(*extra);
+  const analysis::DeliveryTracker& tracker = merge_shard_trackers(trackers);
 
   ScenarioResult result;
   result.delivery_checksum = tracker.checksum();
+  result.shard_count = system.shard_count();
   std::vector<NodeId> alive = system.alive_nodes();
   result.report = tracker.report(alive);
   result.curve = tracker.pair_delay_curve(alive, kCurvePoints);
@@ -134,29 +144,33 @@ ScenarioResult drive(SystemT& system, const ScenarioConfig& config,
 
 /// Multi-group variant of drive(): per-group delivery trackers, Zipf group
 /// popularity for injected traffic, and optional group join/leave churn.
-/// GoCast-family only (needs System's group plumbing). `trackers` is filled
-/// by this function and owned by the caller so the hooks installed on the
-/// nodes stay valid while the caller reads results.
-ScenarioResult drive_multigroup(
-    core::System& system, const ScenarioConfig& config,
-    const core::GroupTopology& topology,
-    std::vector<std::unique_ptr<analysis::DeliveryTracker>>& trackers) {
+/// GoCast-family only (needs System's group plumbing). `by_shard[k][g]`
+/// records group g's deliveries on shard k; it is filled by this function
+/// and owned by the caller so the hooks installed on the nodes stay valid
+/// while the caller reads results.
+ScenarioResult drive_multigroup(core::System& system,
+                                const ScenarioConfig& config,
+                                const core::GroupTopology& topology,
+                                std::vector<Trackers>& by_shard) {
   const std::size_t group_count = topology.group_count;
-  trackers.reserve(group_count);
-  for (std::size_t g = 0; g < group_count; ++g) {
-    trackers.push_back(
-        std::make_unique<analysis::DeliveryTracker>(config.node_count));
+  for (std::size_t k = 0; k < system.shard_count(); ++k) {
+    by_shard.push_back(make_trackers(group_count, config.node_count));
   }
-  system.set_delivery_hook(
-      [&trackers, group_count](const core::DeliveryEvent& event) {
-        if (event.group < group_count) trackers[event.group]->on_delivery(event);
-      });
+  for (NodeId id = 0; id < config.node_count; ++id) {
+    system.node(id).set_delivery_hook(
+        [&groups = by_shard[system.network().shard_of(id)]](
+            const core::DeliveryEvent& event) {
+          if (event.group < groups.size()) groups[event.group]->on_delivery(event);
+        });
+  }
   if (config.loss_probability > 0.0) {
     system.network().set_loss_probability(config.loss_probability);
   }
   system.start();
   system.run_for(config.warmup);
-  for (auto& tracker : trackers) tracker->set_recording(true);
+  for (Trackers& groups : by_shard) {
+    for (auto& tracker : groups) tracker->set_recording(true);
+  }
 
   const SimTime inject_start = system.now();
   const double window =
@@ -229,6 +243,15 @@ ScenarioResult drive_multigroup(
   }
   system.run_until(inject_start + window + config.drain);
 
+  // Fold every shard's group trackers into shard 0's; trackers[g] is then
+  // group g's whole record.
+  Trackers& trackers = by_shard[0];
+  for (std::size_t k = 1; k < by_shard.size(); ++k) {
+    for (std::size_t g = 0; g < group_count; ++g) {
+      trackers[g]->merge_from(*by_shard[k][g]);
+    }
+  }
+
   ScenarioResult result;
   const std::vector<NodeId> alive = system.alive_nodes();
   // Group 0 spans every node, so its report keeps the single-group meaning.
@@ -246,6 +269,13 @@ ScenarioResult drive_multigroup(
     result.audits_sent += diss.audits_sent();
     result.gossip_messages += system.node(id).gossip_messages_sent();
   }
+  // One digest over the groups' checksums, in group order.
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  for (const auto& tracker : trackers) {
+    checksum = (checksum ^ tracker->checksum()) * 0x100000001b3ULL;
+  }
+  result.delivery_checksum = checksum;
+  result.shard_count = system.shard_count();
   result.group_stats.reserve(group_count);
   for (std::size_t g = 0; g < group_count; ++g) {
     ScenarioResult::GroupStats stats;
@@ -276,6 +306,7 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
   sys.latency = config.latency;
   sys.deferred_nodes = config.deferred_nodes;
   sys.net.record_site_pairs = config.record_site_pairs;
+  sys.shard_count = config.shards;
 
   core::GoCastConfig& node = sys.node;
   node.dissemination.payload_bytes = config.payload_bytes;
@@ -313,36 +344,6 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     topology = core::GroupTopology::parse(config.group_spec);
   }
 
-  // Scripted faults: parse the plan once up front — trace-driven churn
-  // events gate the shard fallback below, and the injector consumes the same
-  // parse (one grammar pass per run).
-  fault::FaultPlan plan;
-  bool has_churn_joins = false;
-  if (!config.fault_spec.empty()) {
-    plan = fault::FaultPlan::parse(config.fault_spec);
-    for (const fault::FaultEvent& event : plan.events()) {
-      if (event.kind == fault::FaultKind::kSession ||
-          event.kind == fault::FaultKind::kFlash) {
-        has_churn_joins = true;
-      }
-    }
-  }
-
-  // Sharded-PDES gating for what only the harness knows about: churn joins
-  // fall back to one shard with a warning. System::init_sharding applies the
-  // model-level fallbacks (multi-group, site-pair recording, single site,
-  // sub-floor lookahead).
-  std::size_t shards = config.shards;
-  if (shards > 1 && has_churn_joins) {
-    // Joins are simulation-global (bootstrap draws, per-join probes), so the
-    // window protocol cannot shard them; results stay byte-identical at any
-    // requested shard count by always running churn plans serially.
-    GOCAST_WARN("sharded run requested with trace-driven churn "
-                "(session/flash joins); falling back to 1 shard");
-    shards = 1;
-  }
-  sys.shard_count = shards;
-
   if (topology.group_count > 1) {
     GOCAST_ASSERT_MSG(config.fault_spec.empty() && !config.check_invariants &&
                           config.fail_fraction == 0.0,
@@ -350,7 +351,7 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     sys.groups = topology;
     sys.node.multiplex_gossip = config.multiplex_gossip;
     core::System system(sys);
-    std::vector<std::unique_ptr<analysis::DeliveryTracker>> trackers;
+    std::vector<Trackers> trackers;
     return drive_multigroup(system, config, topology, trackers);
   }
 
@@ -365,12 +366,13 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     checker->start();
   }
   if (!config.fault_spec.empty()) {
-    injector.emplace(system, std::move(plan), Rng(config.seed).fork("faults"));
+    injector.emplace(system, fault::FaultPlan::parse(config.fault_spec),
+                     Rng(config.seed).fork("faults"));
     if (checker.has_value()) injector->set_invariant_checker(&*checker);
     injector->arm();
   }
 
-  analysis::DeliveryTracker tracker(config.node_count);
+  Trackers trackers = make_trackers(system.shard_count(), config.node_count);
 
   // Per-join instrumentation (trace-driven churn): for every node the fault
   // plan brings online, record messages sent while integrating, time to
@@ -391,7 +393,7 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
     return n.overlay().pings_sent() + n.gossip_messages_sent() +
            n.dissemination().pulls_sent();
   };
-  if (injector.has_value() && has_churn_joins) {
+  if (injector.has_value()) {
     injector->set_join_hook([&, join_tracks](NodeId id, SimTime at) {
       const std::size_t idx = join_tracks->size();
       join_tracks->push_back({});
@@ -400,9 +402,11 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
       jt.stats.at = at;
       jt.base_msgs = msgs_sent(id);
       // Wrap the delivery hook so the joiner's first delivery is stamped
-      // while still feeding the run-wide tracker.
+      // while still feeding its shard's tracker (the hook runs on the
+      // joiner's shard thread).
       system.node(id).set_delivery_hook(
-          [base = tracker.hook(), join_tracks, idx,
+          [base = trackers[system.network().shard_of(id)]->hook(), join_tracks,
+           idx,
            at](const core::DeliveryEvent& event) {
             base(event);
             JoinTrack& track = (*join_tracks)[idx];
@@ -473,7 +477,8 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
       config.exclude_adversaries && injector.has_value()
           ? &injector->adversaries()
           : nullptr;
-  ScenarioResult result = drive(system, config, tracker, excluded_sources);
+  ScenarioResult result = drive(system, config, trackers, excluded_sources);
+  const analysis::DeliveryTracker& tracker = *trackers[0];
   if (config.exclude_adversaries && injector.has_value() &&
       !injector->adversaries().empty()) {
     // Honest-participant report: drop adversaries from the receiver set too.
@@ -558,22 +563,19 @@ ScenarioResult run_gocast_family(const ScenarioConfig& config) {
 }
 
 ScenarioResult run_push_gossip(const ScenarioConfig& config) {
-  if (config.shards > 1) {
-    GOCAST_WARN("sharded runs are GoCast-family only; gossip baseline "
-                "runs one shard");
-  }
   baselines::PushGossipSystemConfig sys;
   sys.node_count = config.node_count;
   sys.seed = config.seed;
   sys.latency = config.latency;
   sys.net.record_site_pairs = config.record_site_pairs;
+  sys.shard_count = config.shards;
   sys.node.fanout = config.fanout;
   sys.node.no_wait = config.protocol == Protocol::kNoWaitGossip;
   sys.node.payload_bytes = config.payload_bytes;
 
   baselines::PushGossipSystem system(sys);
-  analysis::DeliveryTracker tracker(config.node_count);
-  return drive(system, config, tracker);
+  Trackers trackers = make_trackers(system.shard_count(), config.node_count);
+  return drive(system, config, trackers);
 }
 
 }  // namespace

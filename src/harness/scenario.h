@@ -74,9 +74,9 @@ struct ScenarioConfig {
 
   /// Sharded conservative-PDES execution (DESIGN.md §11): run the system on
   /// this many engines synchronized in lookahead windows. 1 (the default) is
-  /// the serial run. GoCast-family, single-group only; unsupported
-  /// combinations (multi-group, trace-driven churn joins, site-pair
-  /// recording, baseline protocols) warn and fall back to 1. Results are
+  /// the serial run. Every protocol and scenario shards; only a single-site
+  /// latency model or a sub-floor lookahead warns and runs one shard
+  /// (core::DeploymentConfig::shard_count). Lossless results are
   /// byte-identical at any shard count.
   std::size_t shards = 1;
 
@@ -137,8 +137,11 @@ struct ScenarioResult {
   SimTime sim_end = 0.0;
 
   /// DeliveryTracker::checksum() over the recorded deliveries — the
-  /// shard-invariance gates compare this across shard counts.
+  /// shard-invariance gates compare this across shard counts. Multi-group
+  /// runs digest the per-group checksums in group order.
   std::uint64_t delivery_checksum = 0;
+  /// Shards the run used: `shards` unless a fallback applied.
+  std::size_t shard_count = 1;
 
   /// Fault-injection results (empty unless fault_spec / check_invariants
   /// were set): the injector's deterministic log and the checker's findings.
@@ -179,7 +182,7 @@ struct ScenarioResult {
 
   /// Per-join instrumentation for flash-crowd / session-churn joins, in join
   /// order. Filled only when the fault plan contains `flash:`/`session:`
-  /// events (GoCast-family, one shard).
+  /// events (GoCast-family).
   struct JoinStats {
     NodeId node = kInvalidNode;
     SimTime at = 0.0;              ///< sim time the join started

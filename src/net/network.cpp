@@ -20,8 +20,6 @@ Network::Network(sim::ShardedEngine& engine,
   GOCAST_ASSERT(config_.loss_probability >= 0.0 && config_.loss_probability < 1.0);
   GOCAST_ASSERT(config_.uplink_bytes_per_second >= 0.0);
   const std::size_t shards = engine_.shard_count();
-  GOCAST_ASSERT_MSG(shards == 1 || !config_.record_site_pairs,
-                    "site-pair accounting needs a one-shard run");
   if (shards > 1) shard_traffic_.resize(shards);
   pools_.reserve(shards);
   for (std::size_t k = 0; k < shards; ++k) {
@@ -96,7 +94,8 @@ void Network::set_loss_probability(double p) {
 void Network::report_aborted_transfer(NodeId from, NodeId to, std::size_t bytes) {
   GOCAST_ASSERT(from < nodes_.size() && to < nodes_.size());
   if (config_.record_site_pairs) {
-    traffic_.refund_site_pair(nodes_[from].site, nodes_[to].site, bytes);
+    // The receiver aborts, so the refund accrues in its shard.
+    stats_of(to).refund_site_pair(nodes_[from].site, nodes_[to].site, bytes);
   }
 }
 
@@ -213,7 +212,7 @@ bool Network::admit(NodeId from, NodeId to, const MessagePtr& msg,
   stats.record_send(msg->kind(), bytes);
   if (trace_ != nullptr) trace_->on_send(now, from, to, *msg);
   if (config_.record_site_pairs) {
-    traffic_.record_site_pair(nodes_[from].site, nodes_[to].site, bytes);
+    stats.record_site_pair(nodes_[from].site, nodes_[to].site, bytes);
   }
 
   LinkDecision link;

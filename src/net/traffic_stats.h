@@ -2,7 +2,7 @@
 // site-pair byte counts feeding the underlay link-stress analysis.
 #pragma once
 
-#include <algorithm>
+#include <utility>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -64,13 +64,16 @@ class TrafficStats {
 
   /// Refunds bytes that were recorded at send time but never actually
   /// crossed the wire (a receiver aborted a redundant transfer, paper §2.1
-  /// optimization 1).
+  /// optimization 1). The refund is a signed delta: in a sharded run the
+  /// send was recorded in the sender's shard stats and the refund lands in
+  /// the receiver's, and the barrier fold sums the two. Callers clear only
+  /// while no data transfer is in flight (the harness clears at injection),
+  /// so every refund follows its recorded send and no folded pair total
+  /// goes below zero.
   void refund_site_pair(std::uint32_t site_a, std::uint32_t site_b,
                         std::size_t bytes) {
     if (site_a == site_b) return;
-    auto it = site_pair_bytes_.find(pack_pair(site_a, site_b));
-    if (it == site_pair_bytes_.end()) return;
-    it->second = std::max(0.0, it->second - static_cast<double>(bytes));
+    site_pair_bytes_[pack_pair(site_a, site_b)] -= static_cast<double>(bytes);
     aborted_bytes_ += bytes;
   }
 

@@ -70,8 +70,8 @@ class ShardedEngine {
     /// Minimum cross-shard transit latency (seconds). Every cross-shard
     /// mailbox post must satisfy at >= send_time + lookahead; the window
     /// width is derived from it. Must be > 0 — degenerate topologies are the
-    /// caller's job to detect and fall back to one shard on (core::System
-    /// does).
+    /// caller's job to detect and fall back to one shard on
+    /// (core::Deployment::init_sharding does).
     SimTime lookahead = kNever;
     /// Run windows on the calling thread (no worker pool). Identical
     /// results by construction; used by tests to pin threaded == serial.

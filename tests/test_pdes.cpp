@@ -1,8 +1,9 @@
 // Sharded conservative-PDES tests (DESIGN.md §11): ordered engine admission,
 // cross-partition lookahead queries, window/control/mailbox semantics of
-// ShardedEngine, the one-shard fallbacks, and — the headline — that
+// ShardedEngine, the two one-shard fallbacks, and — the headline — that
 // full-protocol runs are byte-identical at every shard count, including under
-// same-instant arrival ties, churn, scripted faults and invariant checking.
+// same-instant arrival ties, churn, scripted faults, invariant checking,
+// multi-group topologies, site-pair recording and the gossip baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,17 +321,6 @@ TEST(ShardedFallback, SingleSiteTopologyFallsBackToSerial) {
   EXPECT_EQ(system.shard_count(), 1u);
 }
 
-TEST(ShardedFallback, MultiGroupFallsBackToSerial) {
-  core::SystemConfig config;
-  config.node_count = 64;
-  config.seed = 7;
-  config.latency = core::default_latency_model(7, 96);
-  config.shard_count = 2;
-  config.groups.group_count = 4;
-  core::System system(config);
-  EXPECT_EQ(system.shard_count(), 1u);
-}
-
 // -- shard engagement on the default (synthetic King) model --
 
 TEST(ShardedSystem, KingModelShardsEngage) {
@@ -422,31 +412,122 @@ TEST(ShardedScenario, KingModelInvariantAcrossShardCounts) {
   expect_identical(r1, r4);
 }
 
-TEST(ShardedScenario, SitePairRecordingRunsSerially) {
-  // The site-pair traffic map is shared, so System keeps such runs on one
-  // shard even where the model would shard (KingModelShardsEngage
-  // uses the same model). The harness leaves that decision to System: a
-  // scenario asking for 4 shards must run and record exactly as 1 shard.
-  auto latency = core::default_latency_model(5, 256);
-  core::SystemConfig config;
-  config.node_count = 64;
-  config.seed = 5;
-  config.latency = latency;
-  config.shard_count = 4;
-  config.net.record_site_pairs = true;
-  core::System system(config);
-  EXPECT_EQ(system.shard_count(), 1u);
+/// Runs `config` at K = 1, 3 and 4 and checks that each run used the shards
+/// it asked for.
+std::vector<harness::ScenarioResult> run_at_one_three_four(
+    harness::ScenarioConfig config) {
+  std::vector<harness::ScenarioResult> results;
+  for (std::size_t k : {1u, 3u, 4u}) {
+    config.shards = k;
+    results.push_back(harness::run_scenario(config));
+    EXPECT_EQ(results.back().shard_count, k);
+  }
+  return results;
+}
 
-  harness::ScenarioConfig c1 = small_scenario(1);
-  c1.latency = latency;
-  c1.record_site_pairs = true;
-  harness::ScenarioConfig c4 = c1;
-  c4.shards = 4;
-  auto r1 = harness::run_scenario(c1);
-  auto r4 = harness::run_scenario(c4);
-  EXPECT_FALSE(r1.traffic.site_pair_bytes().empty());
-  EXPECT_EQ(r1.traffic.site_pair_bytes(), r4.traffic.site_pair_bytes());
-  expect_identical(r1, r4);
+TEST(ShardedScenario, ChurnJoinsInvariantAcrossShardCounts) {
+  // Session and flash-crowd joins run as controls at window barriers; each
+  // joiner's first-delivery hook feeds its own shard's tracker.
+  harness::ScenarioConfig config = small_scenario(1);
+  config.latency = core::default_latency_model(9, 256);
+  config.seed = 9;
+  config.deferred_nodes = 40;
+  config.drain = 20.0;
+  config.check_invariants = true;
+  config.fault_spec =
+      "12:session:dist=gnutella,rate=1,until=40; 20:flash:n=12,ramp=2";
+  const auto r = run_at_one_three_four(config);
+  ASSERT_GT(r[0].joins.size(), 12u);
+  EXPECT_TRUE(std::any_of(r[0].joins.begin(), r[0].joins.end(),
+                          [](const auto& j) { return j.first_delivery >= 0.0; }));
+  for (std::size_t i = 1; i < r.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(r[0], r[i]);
+    EXPECT_EQ(r[0].invariant_violations, r[i].invariant_violations);
+    ASSERT_EQ(r[0].joins.size(), r[i].joins.size());
+    for (std::size_t j = 0; j < r[0].joins.size(); ++j) {
+      EXPECT_EQ(r[0].joins[j].node, r[i].joins[j].node);
+      EXPECT_EQ(r[0].joins[j].at, r[i].joins[j].at);
+      EXPECT_EQ(r[0].joins[j].first_delivery, r[i].joins[j].first_delivery);
+      EXPECT_EQ(r[0].joins[j].to_band, r[i].joins[j].to_band);
+      EXPECT_EQ(r[0].joins[j].messages, r[i].joins[j].messages);
+    }
+  }
+}
+
+TEST(ShardedScenario, BaselinesInvariantAcrossShardCounts) {
+  // The push-gossip baselines run on the same deployment as GoCast, so they
+  // shard the same way.
+  for (harness::Protocol protocol :
+       {harness::Protocol::kPushGossip, harness::Protocol::kNoWaitGossip}) {
+    SCOPED_TRACE(harness::protocol_name(protocol));
+    harness::ScenarioConfig config = small_scenario(1);
+    config.protocol = protocol;
+    config.latency = core::default_latency_model(5, 256);
+    const auto r = run_at_one_three_four(config);
+    EXPECT_GT(r[0].deliveries, 0u);
+    expect_identical(r[0], r[1]);
+    expect_identical(r[0], r[2]);
+
+    // Lossy runs draw per-origin losses once there is more than one shard
+    // (DESIGN.md §11), so they agree from K = 3 to K = 4, not with K = 1.
+    config.loss_probability = 0.02;
+    config.shards = 3;
+    const auto lossy3 = harness::run_scenario(config);
+    config.shards = 4;
+    const auto lossy4 = harness::run_scenario(config);
+    EXPECT_GT(lossy3.traffic.lost(), 0u);
+    expect_identical(lossy3, lossy4);
+    EXPECT_EQ(lossy3.traffic.lost(), lossy4.traffic.lost());
+  }
+}
+
+TEST(ShardedScenario, MultiGroupInvariantAcrossShardCounts) {
+  // One tracker per (shard, group), folded after the run; group churn joins
+  // and leaves run as controls.
+  for (bool mux : {false, true}) {
+    SCOPED_TRACE(mux);
+    harness::ScenarioConfig config = small_scenario(1);
+    config.latency = core::default_latency_model(7, 256);
+    config.seed = 7;
+    config.message_count = 40;
+    config.message_rate = 20.0;
+    config.group_spec = "groups=4;zipf=0.9;pop=0.6;corr=0.25;churn=1.0";
+    config.multiplex_gossip = mux;
+    const auto r = run_at_one_three_four(config);
+    EXPECT_NE(r[0].delivery_checksum, 0u);
+    ASSERT_EQ(r[0].group_stats.size(), 4u);
+    for (std::size_t i = 1; i < r.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_identical(r[0], r[i]);
+      ASSERT_EQ(r[0].group_stats.size(), r[i].group_stats.size());
+      for (std::size_t g = 0; g < r[0].group_stats.size(); ++g) {
+        EXPECT_EQ(r[0].group_stats[g].members, r[i].group_stats[g].members);
+        EXPECT_EQ(r[0].group_stats[g].messages, r[i].group_stats[g].messages);
+        EXPECT_EQ(r[0].group_stats[g].deliveries,
+                  r[i].group_stats[g].deliveries);
+        EXPECT_EQ(r[0].group_stats[g].mean_delay,
+                  r[i].group_stats[g].mean_delay);
+      }
+    }
+  }
+}
+
+TEST(ShardedScenario, SitePairMapsInvariantAcrossShardCounts) {
+  // Site-pair bytes accrue per shard (refunds as signed deltas in the
+  // receiver's shard) and fold into one map equal to the serial run's.
+  harness::ScenarioConfig config = small_scenario(1);
+  config.latency = core::default_latency_model(5, 256);
+  config.record_site_pairs = true;
+  const auto r = run_at_one_three_four(config);
+  EXPECT_FALSE(r[0].traffic.site_pair_bytes().empty());
+  EXPECT_GT(r[0].traffic.aborted_bytes(), 0u);  // refunds were folded too
+  for (std::size_t i = 1; i < r.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(r[0].traffic.site_pair_bytes(), r[i].traffic.site_pair_bytes());
+    EXPECT_EQ(r[0].traffic.aborted_bytes(), r[i].traffic.aborted_bytes());
+    expect_identical(r[0], r[i]);
+  }
 }
 
 TEST(ShardedScenario, MatrixModelInvariantAcrossShardCounts) {

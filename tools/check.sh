@@ -14,9 +14,10 @@
 #                                  # (ext_multigroup --smoke) + an 8-process
 #                                  # gocastd --groups UDP run
 #   tools/check.sh pdes-smoke      # sharded-PDES determinism gate: 2k-node
-#                                  # scenario at seeds 1, 2 and 6, shards=1,
-#                                  # 3 and 4 delivery checksums must be
-#                                  # byte-identical
+#                                  # scenario at seeds 1, 2 and 6, push
+#                                  # gossip, and session/flash churn;
+#                                  # shards=1, 3 and 4 delivery checksums
+#                                  # must be byte-identical
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -221,31 +222,44 @@ fi
 # pdes-smoke: the sharded-PDES determinism gate — the same 2048-node
 # scenario at shards=1 (one shard, the serial run), shards=3 and shards=4
 # (engines in conservative lookahead windows) must report byte-identical
-# delivery checksums, at each of several seeds. Any divergence is an ordering
-# bug in the sharded runtime (see DESIGN.md §11), never acceptable noise.
+# delivery checksums, at each of several seeds, for the push-gossip baseline,
+# and for a session/flash churn run with deferred joiners. Any divergence is
+# an ordering bug in the sharded runtime (see DESIGN.md §11), never
+# acceptable noise.
 if [[ "${1:-}" == "pdes-smoke" ]]; then
   cmake -B "${root}/build" -S "${root}"
   cmake --build "${root}/build" -j "${jobs}" --target gocast_sim_cli
   bin="${root}/build/tools/gocast_sim"
   sim_args=(--nodes 2048 --messages 60 --warmup 60 --drain 10)
-  checksum() { # $1 = seed, $2 = shard count
-    "${bin}" "${sim_args[@]}" --seed "$1" --shards "$2" |
+  checksum() { # $1 = shard count, the rest = extra gocast_sim flags
+    local shards="$1"
+    shift
+    "${bin}" "${sim_args[@]}" --shards "${shards}" "$@" |
       sed -n 's/.*delivery checksum *| *\([0-9a-f]*\).*/\1/p'
   }
-  for seed in 1 2 6; do
-    echo "=== pdes-smoke: 2048 nodes, seed ${seed}, shards=1 vs 3 vs 4 ==="
-    sum1="$(checksum "${seed}" 1)"
+  compare_shards() { # $1 = label, the rest = extra gocast_sim flags
+    local label="$1"
+    shift
+    echo "=== pdes-smoke: 2048 nodes, ${label}, shards=1 vs 3 vs 4 ==="
+    local sum1 sum shards
+    sum1="$(checksum 1 "$@")"
     echo "shards=1 checksum: ${sum1}"
     # shards=3: the node-weighted site cut is uneven there.
     for shards in 3 4; do
-      sum="$(checksum "${seed}" "${shards}")"
+      sum="$(checksum "${shards}" "$@")"
       echo "shards=${shards} checksum: ${sum}"
       if [[ -z "${sum1}" || "${sum1}" != "${sum}" ]]; then
         echo "FATAL: delivery checksums differ across shard counts" >&2
         exit 1
       fi
     done
+  }
+  for seed in 1 2 6; do
+    compare_shards "seed ${seed}" --seed "${seed}"
   done
+  compare_shards "push gossip, seed 1" --protocol gossip --seed 1
+  compare_shards "session/flash churn, seed 5" --seed 5 --deferred 128 \
+    --faults "30:session:dist=gnutella,rate=2,until=70; 45:flash:n=40,ramp=4"
   echo "=== pdes-smoke passed ==="
   exit 0
 fi

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ void usage() {
       "  --f         pull-delay threshold seconds (GoCast)           [0]\n"
       "  --fanout    gossip fanout (baselines)                       [5]\n"
       "  --drain     seconds to run after the last injection         [30]\n"
-      "  --shards    sharded-PDES engines (GoCast-family; results are\n"
+      "  --shards    sharded-PDES engines, any protocol (lossless runs\n"
       "              byte-identical at any count — DESIGN.md §11)    [1]\n"
       "  --faults    scripted fault plan (GoCast-family), e.g.\n"
       "              \"330:crash:frac=0.2; 400:partition:frac=0.3; 460:heal\"\n"
@@ -97,7 +98,13 @@ int main(int argc, char** argv) {
   config.fail_fraction = args.get_double("fail", 0.0);
   config.freeze_after_failure = !args.get_bool("repair", false);
   config.pull_delay_threshold = args.get_double("f", 0.0);
-  config.fanout = static_cast<int>(args.get_int("fanout", 5));
+  const long fanout = args.get_int("fanout", 5);
+  if (fanout < 1 || fanout > std::numeric_limits<int>::max()) {
+    std::cerr << "--fanout must be in [1, " << std::numeric_limits<int>::max()
+              << "], got " << fanout << "\n";
+    return 2;
+  }
+  config.fanout = static_cast<int>(fanout);
   config.drain = args.get_double("drain", 30.0);
   config.fault_spec = args.get("faults", "");
   config.deferred_nodes = args.get_count("deferred", 0);
